@@ -128,28 +128,14 @@ let figures pairs =
 
 let ablations config =
   section "Ablations: which ingredient buys what (averages over the suite)";
-  let variants =
-    [
-      ( "full flow",
-        fun (i : Suite.instance) -> Flow.run ~config i.graph i.allocation );
-      ( "A1 no case-I binding",
-        fun (i : Suite.instance) ->
-          Flow.run ~config ~scheduler:`Earliest_ready i.graph i.allocation );
-      ( "A2 uniform placement energy",
-        fun (i : Suite.instance) ->
-          Flow.run ~config ~placement_energy:`Uniform i.graph i.allocation );
-      ( "A3 no router weight update",
-        fun (i : Suite.instance) ->
-          Flow.run ~config ~weight_update:false i.graph i.allocation );
-      ( "A4 force-directed placer",
-        fun (i : Suite.instance) ->
-          Flow.run ~config ~placer:`Force_directed i.graph i.allocation );
-      ( "A5 negotiated (PathFinder) router",
-        fun (i : Suite.instance) ->
-          Flow.run ~config ~router:`Negotiated i.graph i.allocation );
-      ( "baseline BA",
-        fun (i : Suite.instance) -> Baseline.run ~config i.graph i.allocation );
-    ]
+  let label = function
+    | `Ours -> "full flow"
+    | `No_case1 -> "A1 no case-I binding"
+    | `No_cp -> "A2 uniform placement energy"
+    | `No_weights -> "A3 no router weight update"
+    | `Force_directed -> "A4 force-directed placer"
+    | `Negotiated -> "A5 negotiated (PathFinder) router"
+    | `Ba -> "baseline BA"
   in
   let table =
     Table.create
@@ -161,19 +147,24 @@ let ablations config =
     [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
       Table.Right ];
   List.iter
-    (fun (name, run) ->
-      let results = List.map run (Suite.all ()) in
+    (fun variant ->
+      let results =
+        List.map
+          (fun (i : Suite.instance) ->
+            Flow.run ~config ~variant i.graph i.allocation)
+          (Suite.all ())
+      in
       let mean f = Stats.mean (List.map f results) in
       Table.add_row table
         [
-          name;
+          label variant;
           Printf.sprintf "%.1f" (mean (fun r -> r.Result_.execution_time));
           Printf.sprintf "%.1f" (100. *. mean (fun r -> r.Result_.utilization));
           Printf.sprintf "%.0f" (mean (fun r -> r.Result_.channel_length_mm));
           Printf.sprintf "%.1f" (mean (fun r -> r.Result_.channel_cache_time));
           Printf.sprintf "%.1f" (mean (fun r -> r.Result_.channel_wash_time));
         ])
-    variants;
+    Flow.variants;
   Table.print table
 
 (* ------------------------------------------------------------------ *)

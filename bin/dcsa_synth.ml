@@ -55,11 +55,6 @@ let with_telemetry ~verbose ~trace ?folded ~metrics f =
     v
   end
 
-let run_one ?(jobs = 1) ~config ~flow (inst : Mfb_core.Suite.instance) =
-  match flow with
-  | `Ours -> Mfb_core.Flow.run ~config ~jobs inst.graph inst.allocation
-  | `Ba -> Mfb_core.Baseline.run ~config inst.graph inst.allocation
-
 let print_result ?(metrics = false) ?(timing = false) ~layout ~schedule
     ~gantt ~json ~svg (r : Mfb_core.Result.t) =
   if json then
@@ -316,7 +311,8 @@ let run_cmd =
         let config = config_of ~sa_restarts ~backend ~exact_fuel tc seed in
         with_telemetry ~verbose ~trace ?folded ~metrics (fun () ->
             print_result ~metrics ~timing ~layout ~schedule ~gantt ~json ~svg
-              (run_one ~jobs ~config ~flow inst));
+              (Mfb_core.Flow.run ~config ~variant:flow ~jobs inst.graph
+                 inst.allocation));
         `Ok ()
   in
   Cmd.v
@@ -1383,7 +1379,9 @@ let repair_cmd =
       in
       let outcome =
         with_telemetry ~verbose ~trace ?folded ~metrics (fun () ->
-            let r = run_one ~jobs ~config ~flow:`Ours inst in
+            let r =
+              Mfb_core.Flow.run ~config ~jobs inst.graph inst.allocation
+            in
             (* the seeded models draw from the synthesized chip, so the
                plan can only be resolved after synthesis *)
             let plan =

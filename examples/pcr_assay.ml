@@ -27,4 +27,4 @@ let () =
     inst.graph Mfb_component.Allocation.pp inst.allocation;
   describe "Proposed DCSA flow" (Mfb_core.Flow.run inst.graph inst.allocation);
   describe "Baseline (construction by correction)"
-    (Mfb_core.Baseline.run inst.graph inst.allocation)
+    (Mfb_core.Flow.run ~variant:`Ba inst.graph inst.allocation)

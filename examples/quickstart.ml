@@ -43,7 +43,7 @@ let () =
   print_string (Mfb_core.Layout_render.render result);
 
   (* 5. Compare against the construction-by-correction baseline. *)
-  let baseline = Mfb_core.Baseline.run graph allocation in
+  let baseline = Mfb_core.Flow.run ~variant:`Ba graph allocation in
   Format.printf "@.baseline: %a@." Mfb_core.Result.pp_summary baseline;
   Format.printf "speed-up over BA: %.1f%%@."
     (Mfb_util.Stats.percent_improvement ~ours:result.execution_time

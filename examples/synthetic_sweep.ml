@@ -36,7 +36,7 @@ let () =
       in
       let allocation = allocation_for n_ops in
       let ours = Mfb_core.Flow.run graph allocation in
-      let ba = Mfb_core.Baseline.run graph allocation in
+      let ba = Mfb_core.Flow.run ~variant:`Ba graph allocation in
       Mfb_util.Table.add_row table
         [
           string_of_int n_ops;

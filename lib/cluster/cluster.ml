@@ -69,9 +69,12 @@ let job_to_line (job : Server.job) ~wire_id =
        })
 
 let payload_of_line t ~wire_id ~slot line =
+  let answered payload =
+    Histogram.add t.slot_bytes.(slot) (float_of_int (String.length line));
+    Some payload
+  in
   match P.response_of_line line with
   | Ok (P.Job_result { id; result; spans; _ }) when id = wire_id ->
-    Histogram.add t.slot_bytes.(slot) (float_of_int (String.length line));
     let nodes =
       match spans with
       | Some (Json.List l) ->
@@ -80,7 +83,10 @@ let payload_of_line t ~wire_id ~slot line =
           l
       | _ -> []
     in
-    Some (result, nodes)
+    answered (Ok result, nodes)
+  (* the job itself failed on a healthy worker *)
+  | Ok (P.Rejected { op = "submit"; id; reason }) when id = wire_id ->
+    answered (Error reason, [])
   | Ok _ | Error _ -> None
 
 let dispatch t jobs =

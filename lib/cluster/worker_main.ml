@@ -22,10 +22,14 @@ let answer ?(vclock = false) ~index ~config ~id ~flow ~spec ~overrides ~trace
   | Error reason -> P.Rejected { op = "submit"; id; reason }
   | Ok job ->
     let key = Mfb_server.Cache_key.to_hex job.Server.key in
+    (* a failed synthesis is answered, not fatal: the server sheds the
+       job with the reason, exactly as its in-process path would *)
+    let reply spans = function
+      | Ok payload -> P.Job_result { id; key; result = payload; spans }
+      | Error reason -> P.Rejected { op = "submit"; id; reason }
+    in
     (match trace with
-     | None ->
-       let payload = Server.run_job job in
-       P.Job_result { id; key; result = payload; spans = None }
+     | None -> reply None (Server.run_job job)
      | Some ctx ->
        let saved = Telemetry.installed_sink () in
        Telemetry.uninstall ();
@@ -34,7 +38,7 @@ let answer ?(vclock = false) ~index ~config ~id ~flow ~spec ~overrides ~trace
        in
        let sink = Telemetry.make_sink ~clock () in
        Telemetry.install sink;
-       let payload =
+       let outcome =
          Fun.protect
            ~finally:(fun () ->
              Telemetry.uninstall ();
@@ -53,7 +57,7 @@ let answer ?(vclock = false) ~index ~config ~id ~flow ~spec ~overrides ~trace
            (List.map Telemetry.node_to_json
               (Telemetry.spans ~max_depth:4 sink))
        in
-       P.Job_result { id; key; result = payload; spans = Some spans })
+       reply (Some spans) outcome)
 
 let run ?(fault = Fault.empty) ?(index = 0) ?(vclock = false) ~config ic oc =
   let jobs_done = ref 0 in

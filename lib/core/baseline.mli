@@ -5,9 +5,7 @@
 val run :
   ?config:Config.t ->
   ?route_io:bool ->
-  ?flow_name:string ->
   Mfb_bioassay.Seq_graph.t ->
   Mfb_component.Allocation.t ->
   Result.t
-(** [run g alloc] synthesises the baseline physical design under the
-    same parameters as {!Flow.run}. *)
+(** [run g alloc] is [Flow.run ~variant:`Ba g alloc]. *)

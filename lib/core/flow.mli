@@ -1,47 +1,77 @@
 (** The paper's top-down synthesis flow: Alg. 1 binding/scheduling, then
     Alg. 2 placement (simulated annealing over Eq. 3) and
     conflict-aware routing, then retiming under any routing
-    postponements. *)
+    postponements — and, through the same pipeline, the paper's
+    baseline and the ablations EXPERIMENTS.md reports. *)
 
-type scheduler = [ `Dcsa | `Earliest_ready ]
-(** [`Dcsa] is the paper's Case-I/Case-II strategy; [`Earliest_ready] is
-    the ablation A1 (binding rule of the baseline inside our flow). *)
+type variant =
+  [ `Ours  (** the paper's flow *)
+  | `Ba  (** the paper's baseline: earliest-ready binding, corrected
+             scanline placement, construction-by-correction routing *)
+  | `No_case1  (** A1: BA's earliest-ready binding inside our flow *)
+  | `No_cp  (** A2: plain-wirelength placement energy instead of Eq. 4 *)
+  | `No_weights  (** A3: no wash-time weight update in the router *)
+  | `Force_directed
+    (** A4: {!Mfb_place.Force_place} instead of annealing *)
+  | `Negotiated
+    (** A5: PathFinder-style {!Mfb_route.Negotiated_router} instead of
+        the sequential conflict-pruned A* *) ]
+(** A synthesis variant.  Each fixes the flow's four stage choices:
+    binding rule, placement energy, placer and router. *)
 
-type placement_energy = [ `Connection_priority | `Uniform ]
-(** [`Connection_priority] weights Eq. 3 by Eq. 4; [`Uniform] is the
-    ablation A2 (plain wirelength). *)
+val variants : variant list
+(** The paper flow, A1–A5, then BA — the order of the ablation table. *)
 
-type placer = [ `Annealing | `Force_directed ]
-(** [`Annealing] is the paper's SA (Alg. 2); [`Force_directed] is the
-    fast quadratic-relaxation alternative ({!Mfb_place.Force_place}). *)
-
-type router = [ `Sequential | `Negotiated ]
-(** [`Sequential] is the paper's conflict-pruned A* (Alg. 2 lines 9-18);
-    [`Negotiated] is PathFinder-style rip-up-and-re-route
-    ({!Mfb_route.Negotiated_router}). *)
+val name : variant -> string
+(** The [flow] field of the variant's results: ["ours"], ["ba"],
+    ["no-case1"], ["no-cp"], ["no-weights"], ["force-directed"],
+    ["negotiated"]. *)
 
 val run :
   ?config:Config.t ->
-  ?scheduler:scheduler ->
-  ?placement_energy:placement_energy ->
-  ?placer:placer ->
-  ?router:router ->
-  ?weight_update:bool ->
+  ?variant:variant ->
   ?route_io:bool ->
   ?jobs:int ->
-  ?flow_name:string ->
   Mfb_bioassay.Seq_graph.t ->
   Mfb_component.Allocation.t ->
   Result.t
-(** [run g alloc] synthesises the full physical design with the paper's
-    parameters.  [weight_update:false] is the ablation A3; [route_io] (default false)
-    additionally routes inlet dispensing and waste runs (the I/O study).
+(** [run g alloc] synthesises the full physical design of [variant]
+    (default [`Ours]) with the paper's parameters.  [route_io] (default
+    false) additionally routes inlet dispensing and waste runs (the I/O
+    study).
 
     [jobs] (default 1) bounds the worker domains used by the parallel
-    sections inside the flow (currently the [config.sa_restarts]
-    annealing restarts).  The synthesis result is bit-for-bit identical
-    for every [jobs] value — parallelism follows the split-then-reduce
-    determinism rule (see DESIGN.md "Parallel execution model").
+    sections inside the flow (the [config.sa_restarts] annealing
+    restarts and the portfolio race).  The synthesis result is
+    bit-for-bit identical for every [jobs] value — parallelism follows
+    the split-then-reduce determinism rule (see DESIGN.md "Parallel
+    execution model").
 
     The result carries both process CPU time and elapsed wall-clock
-    time, plus a per-stage breakdown in [stage_times]. *)
+    time, plus a per-stage breakdown in [stage_times].
+    @raise Invalid_argument on an invalid [config], [jobs < 1], or an
+    exact/portfolio backend with a variant that does not use Case-I
+    binding ([`Ba], [`No_case1]). *)
+
+(** {2 Stages shared with warm start and repair} *)
+
+val schedule :
+  config:Config.t ->
+  ?jobs:int ->
+  variant ->
+  Mfb_bioassay.Seq_graph.t ->
+  Mfb_component.Allocation.t ->
+  Mfb_schedule.Types.t * Mfb_schedule.Portfolio.decision option
+(** The schedule stage of {!run}: the variant's binding rule under the
+    heuristic backend, or the exact / portfolio backend (which replace
+    Case-I binding only).  The decision is [None] for the heuristic. *)
+
+val retime :
+  Mfb_schedule.Types.t ->
+  (Mfb_route.Routed.task * float) list ->
+  Mfb_schedule.Types.t
+(** [retime sched routed] feeds routing postponements back into
+    [sched] through {!Mfb_schedule.Retime}.  Each task comes with the
+    delay it had already absorbed ([0.] for a fresh routing): only the
+    excess postpones a transport, or — for an inlet dispense — the
+    operation it feeds.  Tasks are taken in commit order. *)

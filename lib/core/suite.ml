@@ -33,10 +33,8 @@ let run_pairs ?(jobs = 1) ?(config = Config.default) ?(instances = all ()) ()
   in
   let results =
     Mfb_util.Pool.map ~label:"synthesis" ~jobs
-      (fun (inst, flow) ->
-        match flow with
-        | `Ours -> Flow.run ~config inst.graph inst.allocation
-        | `Ba -> Baseline.run ~config inst.graph inst.allocation)
+      (fun (inst, variant) ->
+        Flow.run ~config ~variant inst.graph inst.allocation)
       tasks
   in
   let rec pair = function

@@ -9,8 +9,8 @@
     decreasing connectivity order, to the nearest legal anchor.
 
     Deterministic, much faster than annealing, and usually slightly worse
-    on Eq. 3 — a useful speed/quality point exposed through
-    {!Mfb_core.Flow.run}'s [placement] option. *)
+    on Eq. 3 — a useful speed/quality point, the placer of
+    [Mfb_core.Flow.run ~variant:`Force_directed] (ablation A4). *)
 
 type result = {
   chip : Chip.t;

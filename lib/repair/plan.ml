@@ -1,6 +1,5 @@
 module Types = Mfb_schedule.Types
 module Check = Mfb_schedule.Check
-module Retime = Mfb_schedule.Retime
 module Chip = Mfb_place.Chip
 module Net = Mfb_place.Net
 module Energy = Mfb_place.Energy
@@ -237,22 +236,6 @@ let route_all grid ~tc ~is_defect pairs =
       | Unroutable -> (acc, inw, dly, failed + 1))
     ([], 0, 0, 0) pairs
 
-(* Extra postponement the repair added to a task beyond what the input
-   schedule already absorbed. *)
-let extra_delays repaired =
-  List.fold_left
-    (fun (delays, op_delays) ((t : Routed.task), old_delay) ->
-      let extra = Float.max 0. (t.delay -. old_delay) in
-      if extra <= 0. then (delays, op_delays)
-      else
-        match t.kind with
-        | Routed.Transport ->
-          ((t.transport.Types.edge, extra) :: delays, op_delays)
-        | Routed.Dispense ->
-          (delays, (fst t.transport.Types.edge, extra) :: op_delays)
-        | Routed.Waste -> (delays, op_delays))
-    ([], []) repaired
-
 let repair ~(config : Mfb_core.Config.t) (result : Mfb_core.Result.t)
     ~defects =
   Telemetry.span ~cat:"repair" "repair" @@ fun () ->
@@ -323,13 +306,9 @@ let repair ~(config : Mfb_core.Config.t) (result : Mfb_core.Result.t)
        @ List.rev_map (fun t -> t) commit_order_healthy)
       ~unresolved:(route_failed + List.length doomed)
   in
-  (* Push any extra postponement back through the schedule, exactly as
-     the cold flow feeds routing delays into [Retime]. *)
-  let delays, op_delays = extra_delays rev_repaired in
-  let schedule =
-    if delays = [] && op_delays = [] then sched
-    else Retime.with_transport_delays ~op_delays sched ~delays
-  in
+  (* Push any postponement beyond each task's original delay back
+     through the schedule with the cold flow's own stage. *)
+  let schedule = Mfb_core.Flow.retime sched (List.rev rev_repaired) in
   let failed = route_failed + List.length doomed + List.length dead_failed in
   let rung =
     if fallbacks > 0 then Some Resynthesized

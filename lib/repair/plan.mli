@@ -13,7 +13,7 @@
       candidates above the original delay, then the shortest
       obstacle-avoiding path settled via [required_delay], accepted up
       to a fixed delay budget; extra delays are pushed back through the
-      schedule exactly as the cold flow does ([Retime]);
+      schedule by the cold flow's own stage ({!Mfb_core.Flow.retime});
     + {e re-bind} — a dead component's operations move to the
       best same-kind spare, ranked by the net-adjacency index
       ([Energy.incident_total]) and accepted only when the remapped

@@ -3,8 +3,8 @@
    The cold flow is schedule -> place -> route, and only placement is
    both expensive and placement-{e in}dependent of the edit: the
    schedule stage is a pure function of (graph, allocation, tc, backend)
-   and routing is cheap.  So a warm start re-runs the schedule stage
-   exactly as the cold flow would, keeps the cached chip verbatim, and
+   and routing is cheap.  So a warm start re-runs the cold flow's own
+   schedule stage ([Flow.schedule]), keeps the cached chip verbatim, and
    re-routes on it — replaying every cached task whose transport the
    edit left intact and sending the invalidated rest through the repair
    ladder ({!Plan.route_one}).
@@ -18,8 +18,7 @@
 
 module Types = Mfb_schedule.Types
 module Check = Mfb_schedule.Check
-module Retime = Mfb_schedule.Retime
-module Portfolio = Mfb_schedule.Portfolio
+module Flow = Mfb_core.Flow
 module Chip = Mfb_place.Chip
 module Routed = Mfb_route.Routed
 module Rgrid = Mfb_route.Rgrid
@@ -35,25 +34,6 @@ type report = {
 
 let no_defect (_ : int * int) = false
 
-(* The schedule stage, verbatim from the cold flow (always [jobs = 1]:
-   warm starts already run inside a server pool task, and pools never
-   nest). *)
-let schedule_stage ~(config : Mfb_core.Config.t) graph allocation =
-  match config.backend with
-  | Portfolio.Heuristic ->
-    (Mfb_schedule.Dcsa_scheduler.schedule ~tc:config.tc graph allocation, None)
-  | Portfolio.Exact ->
-    let sched, decision =
-      Portfolio.exact ~fuel:config.exact_fuel ~tc:config.tc graph allocation
-    in
-    (sched, Some decision)
-  | Portfolio.Portfolio ->
-    let sched, decision =
-      Portfolio.race ~fuel:config.exact_fuel ~jobs:1 ~tc:config.tc graph
-        allocation
-    in
-    (sched, Some decision)
-
 exception Cold of string
 
 let synthesize ~(config : Mfb_core.Config.t)
@@ -63,7 +43,11 @@ let synthesize ~(config : Mfb_core.Config.t)
   let started_cpu = Sys.time () in
   try
     Telemetry.span ~cat:"warm" "warm" @@ fun () ->
-    let sched, decision = schedule_stage ~config graph allocation in
+    (* [jobs = 1]: warm starts already run inside a server pool task,
+       and pools never nest. *)
+    let sched, decision =
+      Flow.schedule ~config ~jobs:1 `Ours graph allocation
+    in
     (* The cached placement can only seed this schedule when both talk
        about the same component array (ids, kinds, dimensions). *)
     if sched.Types.components <> cached.chip.Chip.components then
@@ -143,18 +127,10 @@ let synthesize ~(config : Mfb_core.Config.t)
         ([], 0, (0, 0)) ordered
     in
     let routing = Routed.finalize grid rev_tasks ~unresolved:0 in
-    (* Postponements feed back into the schedule exactly as the cold
-       flow does. *)
-    let delays =
-      List.filter_map
-        (fun (task : Routed.task) ->
-          if task.delay > 0. then Some (task.transport.Types.edge, task.delay)
-          else None)
-        routing.tasks
-    in
+    (* Postponements feed back into the schedule through the cold
+       flow's own stage. *)
     let final_sched =
-      if delays = [] then sched
-      else Retime.with_transport_delays sched ~delays
+      Flow.retime sched (List.map (fun t -> (t, 0.)) routing.tasks)
     in
     (* Proof obligations: the warm result must be legal, and within the
        quality delta of what the cold flow could have produced. *)

@@ -6,8 +6,9 @@
     [cached], a full result of a nearby request with the same flow and
     allocation:
 
-    + the {b schedule} stage runs exactly as the cold flow would (it is
-      placement-independent and cheap relative to annealing);
+    + the {b schedule} stage is the paper flow's own
+      ({!Mfb_core.Flow.schedule}; it is placement-independent and cheap
+      relative to annealing);
     + the {b placement} is taken verbatim from [cached.chip] — component
       arrays must match structurally, else the warm start aborts;
     + {b routing} replays every cached task whose transport the edit
@@ -15,7 +16,8 @@
       occupancy against the rebuilt grid, and sends invalidated or new
       transports through the repair ladder ({!Plan.route_one}:
       in-window, bounded delay, settle fallback); extra postponements
-      retime the schedule exactly as the cold flow does.
+      retime the schedule through {!Mfb_core.Flow.retime}, as the cold
+      flow does.
 
     {2 Proof obligations}
 

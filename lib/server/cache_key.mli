@@ -1,7 +1,7 @@
 (** Content-addressed request keys for the synthesis service.
 
-    Synthesis ({!Mfb_core.Flow.run} / {!Mfb_core.Baseline.run}) is a
-    pure function of (sequencing graph, allocation, config, flow), so a
+    Synthesis ({!Mfb_core.Flow.run}) is a pure function of (sequencing
+    graph, allocation, config, flow variant), so a
     request can be memoised under a key derived from that content alone.
     The key must be {e canonical}: two requests that denote the same
     synthesis problem must collide even when their textual sources

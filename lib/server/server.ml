@@ -23,7 +23,7 @@ type job = {
    path leaves it empty, which is exactly what keeps the access log
    byte-identical between the two transports. *)
 type dispatch_result = {
-  d_payload : Json.t;
+  d_payload : (Json.t, string) Stdlib.result;
   d_slot : int option;
   d_attempts : int;
   d_spans : Telemetry.node list;
@@ -194,15 +194,23 @@ let resolve_spec = function
        in
        Ok (graph, allocation))
 
+(* Each annealing restart is a full placement run on the server, so a
+   client override may ask for at most this many. *)
+let max_sa_restarts = 64
+
 let apply_overrides (cfg : Mfb_core.Config.t) (o : P.overrides) =
   let cfg =
     match o.o_seed with None -> cfg | Some seed -> { cfg with seed }
   in
   let cfg = match o.o_tc with None -> cfg | Some tc -> { cfg with tc } in
-  let cfg =
+  let* cfg =
     match o.o_sa_restarts with
-    | None -> cfg
-    | Some sa_restarts -> { cfg with sa_restarts }
+    | None -> Ok cfg
+    | Some r when r > max_sa_restarts ->
+      Error
+        (Printf.sprintf "sa_restarts %d exceeds the limit of %d" r
+           max_sa_restarts)
+    | Some sa_restarts -> Ok { cfg with sa_restarts }
   in
   let cfg =
     match o.o_backend with
@@ -223,7 +231,14 @@ let resolve ~base ~flow ~overrides spec =
            (Mfb_component.Allocation.to_string allocation))
   in
   let* config = apply_overrides base overrides in
-  let flow_name = match flow with `Ours -> "ours" | `Ba -> "ba" in
+  let* () =
+    if flow = `Ba && config.backend <> Mfb_schedule.Portfolio.Heuristic then
+      Error
+        "backend exact/portfolio replaces the DCSA scheduler; it cannot run \
+         with flow ba"
+    else Ok ()
+  in
+  let flow_name = Mfb_core.Flow.name (flow :> Mfb_core.Flow.variant) in
   let key = Cache_key.make ~flow:flow_name ~config ~graph ~allocation () in
   Ok { key; graph; allocation; config; flow; spec; overrides }
 
@@ -233,19 +248,25 @@ let resolve_job t ~flow ~overrides spec =
 (* --- batch execution --- *)
 
 let synthesize job =
-  match job.flow with
-  | `Ours ->
-    Mfb_core.Flow.run ~config:job.config ~jobs:1 job.graph job.allocation
-  | `Ba -> Mfb_core.Baseline.run ~config:job.config job.graph job.allocation
+  Mfb_core.Flow.run ~config:job.config
+    ~variant:(job.flow :> Mfb_core.Flow.variant)
+    ~jobs:1 job.graph job.allocation
 
-let run_job_full ?trace job =
-  match trace with
-  | None -> synthesize job
-  | Some args ->
-    Telemetry.span ~cat:"serve" ~args "request" (fun () -> synthesize job)
+let summary_payload full = Mfb_core.Result.(summary_to_json (summarize full))
 
-let run_job ?trace job =
-  Mfb_core.Result.(summary_to_json (summarize (run_job_full ?trace job)))
+(* A job whose synthesis raises fails alone: the exception text is the
+   reason its request is shed with. *)
+let attempt ?trace job =
+  match
+    match trace with
+    | None -> synthesize job
+    | Some args ->
+      Telemetry.span ~cat:"serve" ~args "request" (fun () -> synthesize job)
+  with
+  | full -> Ok full
+  | exception e -> Error ("synthesis failed: " ^ Printexc.to_string e)
+
+let run_job ?trace job = Stdlib.Result.map summary_payload (attempt ?trace job)
 
 (* Find-or-resynthesize a job's retained full result (warm-start seed
    for repairs and near-hits).  The cold branch re-runs with the same
@@ -440,7 +461,7 @@ let process_batch t =
      and is counted as a fallback. *)
   let fp_of (job : job) =
     Sim_index.fingerprint
-      ~flow:(match job.flow with `Ours -> "ours" | `Ba -> "ba")
+      ~flow:(Mfb_core.Flow.name (job.flow :> Mfb_core.Flow.variant))
       ~config:job.config ~graph:job.graph ~allocation:job.allocation ()
   in
   (* key -> (dispatch result, full result) for warm-started jobs *)
@@ -471,9 +492,12 @@ let process_batch t =
          (fun ((it : job Job_queue.item), cached, cand_warm) ->
            ( it,
              cand_warm,
-             Mfb_repair.Warm.synthesize ~config:it.payload.config ~cached
-               ~delta:t.cfg.warm_delta it.payload.graph it.payload.allocation
-           ))
+             match
+               Mfb_repair.Warm.synthesize ~config:it.payload.config ~cached
+                 ~delta:t.cfg.warm_delta it.payload.graph it.payload.allocation
+             with
+             | outcome -> outcome
+             | exception e -> Error (Printexc.to_string e) ))
          planned
      in
      List.iter
@@ -497,8 +521,7 @@ let process_batch t =
            Histogram.add t.h_warm latency;
            Hashtbl.replace warm_tbl it.payload.key
              ( {
-                 d_payload =
-                   Mfb_core.Result.(summary_to_json (summarize full));
+                 d_payload = Ok (summary_payload full);
                  d_slot = None;
                  d_attempts = 1;
                  d_spans = [];
@@ -534,14 +557,14 @@ let process_batch t =
       in
       Mfb_util.Pool.map ~label:"serve-job" ~jobs:t.cfg.jobs
         (fun ((it : job Job_queue.item), trace) ->
-          let full = run_job_full ~trace it.payload in
+          let full = attempt ~trace it.payload in
           ( {
-              d_payload = Mfb_core.Result.(summary_to_json (summarize full));
+              d_payload = Stdlib.Result.map summary_payload full;
               d_slot = None;
               d_attempts = 1;
               d_spans = [];
             },
-            Some full ))
+            Stdlib.Result.to_option full ))
         traced
   in
   let results =
@@ -568,25 +591,30 @@ let process_batch t =
       Hashtbl.replace fresh it.payload.key res.d_payload;
       Hashtbl.replace meta it.payload.key
         (res.d_slot, res.d_attempts, res.d_spans, it.id);
-      (match t.cache with
-       | Some c -> Lru.add c it.payload.key res.d_payload
-       | None -> ());
-      (match (t.full, full) with
-       | Some c, Some r -> Lru.add c it.payload.key r
-       | _ -> ());
-      Hashtbl.replace t.outcomes it.id
-        (Done { key = it.payload.key; payload = res.d_payload }))
+      match res.d_payload with
+      | Error reason -> Hashtbl.replace t.outcomes it.id (Shed reason)
+      | Ok payload ->
+        (match t.cache with
+         | Some c -> Lru.add c it.payload.key payload
+         | None -> ());
+        (match (t.full, full) with
+         | Some c, Some r -> Lru.add c it.payload.key r
+         | _ -> ());
+        Hashtbl.replace t.outcomes it.id
+          (Done { key = it.payload.key; payload }))
     unique results;
-  (* Every computed job (cold, warm or fleet-dispatched) becomes a
-     future warm-start candidate.  Entries carry the resolved job, not
-     the result — identical index contents on every transport. *)
+  (* Every job computed without failure (cold, warm or fleet-dispatched)
+     becomes a future warm-start candidate.  Entries carry the resolved
+     job, not the result — identical index contents on every
+     transport. *)
   (match t.sim with
    | None -> ()
    | Some sim ->
      List.iter
        (fun (it : job Job_queue.item) ->
          let job = it.payload in
-         if job.flow = `Ours then
+         if job.flow = `Ours && Stdlib.Result.is_ok (Hashtbl.find fresh job.key)
+         then
            let fp =
              match Hashtbl.find_opt fps job.key with
              | Some fp -> fp
@@ -600,15 +628,16 @@ let process_batch t =
     (fun (it : job Job_queue.item) ->
       if not (Hashtbl.mem t.outcomes it.id) then begin
         let key = it.payload.key in
-        let payload =
-          match t.cache with
-          | Some c ->
-            (match Lru.find c key with
-             | Some p -> p
-             | None -> Hashtbl.find fresh key)
-          | None -> Hashtbl.find fresh key
+        let cached =
+          match t.cache with Some c -> Lru.find c key | None -> None
         in
-        Hashtbl.replace t.outcomes it.id (Done { key; payload })
+        Hashtbl.replace t.outcomes it.id
+          (match cached with
+           | Some payload -> Done { key; payload }
+           | None ->
+             (match Hashtbl.find fresh key with
+              | Ok payload -> Done { key; payload }
+              | Error reason -> Shed reason))
       end)
     dispatched;
   (* Observability pass, in dispatch order. *)
@@ -627,15 +656,19 @@ let process_batch t =
       in
       Histogram.add t.h_queue_wait (float_of_int qw);
       let total_ticks = qw + 1 in
-      let outcome =
-        if Hashtbl.mem warm_tbl it.payload.key then "near-hit" else "done"
+      let outcome, reason, latency =
+        match Hashtbl.find_opt t.outcomes it.id with
+        | Some (Shed reason) -> ("shed", Some reason, None)
+        | _ ->
+          ( (if Hashtbl.mem warm_tbl it.payload.key then "near-hit"
+             else "done"),
+            None,
+            Some (latency_units t info ~total_ticks) )
       in
       finish_request t ~rid:info.rid ~id:it.id
         ~key:(key_prefix it.payload.key) ~backend:(backend_name it.payload)
-        ~outcome ~batch:batch_tick ?fleet ~queue_ticks:qw
-        ~compute_ticks:1 ~worker_spans
-        ~latency:(Some (latency_units t info ~total_ticks))
-        ())
+        ~outcome ?reason ~batch:batch_tick ?fleet ~queue_ticks:qw
+        ~compute_ticks:1 ~worker_spans ~latency ())
     dispatched
 
 let drain_until t id =

@@ -15,7 +15,9 @@
     on up to [jobs] domains via {!Mfb_util.Pool} — each task itself
     running with [jobs = 1], so pools never nest.  One virtual tick
     elapses per batch; deadlines are measured in ticks, never
-    wall-clock.
+    wall-clock.  A job whose synthesis raises is shed alone, with the
+    exception text as its reason; the rest of its batch completes and
+    caches as usual.
 
     {2 Determinism}
 
@@ -72,7 +74,8 @@ type job = {
     re-resolves it against the same base config. *)
 
 type dispatch_result = {
-  d_payload : Mfb_util.Json.t;  (** the summary payload *)
+  d_payload : (Mfb_util.Json.t, string) Stdlib.result;
+      (** the summary payload, or why the job's synthesis failed *)
   d_slot : int option;  (** fleet slot that answered; [None] in-process *)
   d_attempts : int;     (** dispatch attempts (1 = first try) *)
   d_spans : Mfb_util.Telemetry.node list;
@@ -160,14 +163,20 @@ val resolve :
   Protocol.spec ->
   (job, string) result
 (** Resolve and validate a submission against [base] config — the same
-    path the server takes, exposed so workers resolve identically. *)
+    path the server takes, exposed so workers resolve identically.
+    Refuses an [sa_restarts] override above 64 (each restart is a full
+    annealing run on the server; the operator's base config is not
+    capped) and flow [`Ba] with an exact/portfolio backend, which only
+    replaces the paper's Case-I scheduler. *)
 
 val run_job :
   ?trace:(string * Mfb_util.Telemetry.value) list ->
   job ->
-  Mfb_util.Json.t
+  (Mfb_util.Json.t, string) Stdlib.result
 (** Synthesise one job in-process ([jobs = 1]) and return its summary
-    payload.  Deterministic: equal jobs give byte-equal payloads.
+    payload, or [Error reason] when the synthesis raised — the reason
+    ["synthesis failed: <exception>"] its request is shed with.
+    Deterministic: equal jobs give byte-equal payloads.
     [trace] wraps the computation in a [request] span carrying the
     given args (request id, cache-key prefix) so per-request
     attribution survives into worker-side traces; it never affects the

@@ -124,7 +124,7 @@ let expected_result_line ?seed ?(id = "j0") bench =
        {
          id;
          key = Mfb_server.Cache_key.to_hex job.Server.key;
-         result = Server.run_job job;
+         result = Result.get_ok (Server.run_job job);
          spans = None;
        })
 
@@ -309,12 +309,16 @@ let with_cluster ?plan ?(size = 2) ?(timeout = 10.0) ?(max_retries = 2) f =
       Option.iter Sys.remove plan_file)
     (fun () -> f cluster)
 
+let payload_string = function
+  | Ok payload -> Json.to_string payload
+  | Error reason -> "error: " ^ reason
+
 let check_payloads name jobs results =
   let expected = List.map Server.run_job jobs in
   Alcotest.(check (list string))
     name
-    (List.map Json.to_string expected)
-    (List.map (fun r -> Json.to_string r.Server.d_payload) results)
+    (List.map payload_string expected)
+    (List.map (fun r -> payload_string r.Server.d_payload) results)
 
 let test_cluster_clean_dispatch () =
   let jobs = [ resolve "PCR"; resolve "IVD"; resolve ~seed:7 "PCR" ] in
@@ -322,6 +326,32 @@ let test_cluster_clean_dispatch () =
       check_payloads "clean fleet = in-process" jobs (Cluster.dispatch cluster jobs);
       let s = Cluster.stats cluster in
       Alcotest.(check int) "all dispatched" 3 s.Mfb_cluster.Dispatcher.dispatched;
+      Alcotest.(check int) "no degradation" 0 s.Mfb_cluster.Dispatcher.degraded;
+      Alcotest.(check int) "no respawns" 0 (Cluster.respawns cluster))
+
+let test_cluster_failing_job_keeps_workers () =
+  (* a job whose synthesis raises is answered by a healthy worker: no
+     crash, retry or degradation, and the rest of the batch is intact *)
+  let bad =
+    match
+      Server.resolve ~base:Config.default ~flow:`Ours
+        ~overrides:{ P.no_overrides with P.o_tc = Some 1e308 }
+        (P.Benchmark "IVD")
+    with
+    | Ok job -> job
+    | Error e -> Alcotest.failf "resolve: %s" e
+  in
+  let jobs = [ bad; resolve "PCR" ] in
+  with_cluster (fun cluster ->
+      let results = Cluster.dispatch cluster jobs in
+      check_payloads "failure and payload = in-process" jobs results;
+      (match (List.hd results).Server.d_payload with
+       | Error reason ->
+         Alcotest.(check bool) "reason names the failure" true
+           (String.starts_with ~prefix:"synthesis failed: " reason)
+       | Ok _ -> Alcotest.fail "the bad job must fail");
+      let s = Cluster.stats cluster in
+      Alcotest.(check int) "no crashes" 0 s.Mfb_cluster.Dispatcher.crashes;
       Alcotest.(check int) "no degradation" 0 s.Mfb_cluster.Dispatcher.degraded;
       Alcotest.(check int) "no respawns" 0 (Cluster.respawns cluster))
 
@@ -469,10 +499,8 @@ let qtest_cluster =
               let results = Cluster.dispatch cluster jobs in
               let expected = List.map Server.run_job jobs in
               let identical =
-                List.map
-                  (fun r -> Json.to_string r.Server.d_payload)
-                  results
-                = List.map Json.to_string expected
+                List.map (fun r -> payload_string r.Server.d_payload) results
+                = List.map payload_string expected
               in
               let s = Cluster.stats cluster in
               let counters_moved =
@@ -532,6 +560,8 @@ let suites =
       [
         Alcotest.test_case "clean fleet matches in-process" `Quick
           test_cluster_clean_dispatch;
+        Alcotest.test_case "a failing job keeps its worker" `Quick
+          test_cluster_failing_job_keeps_workers;
         Alcotest.test_case "chaos recovery is byte-identical" `Quick
           test_cluster_chaos_recovery;
         Alcotest.test_case "stall hits the deadline" `Quick

@@ -192,27 +192,96 @@ let test_flow_deterministic () =
 
 let test_ablations_run () =
   let inst = Suite.synthetic1 () in
-  let variants =
-    [
-      Flow.run ~config:fast_cfg ~scheduler:`Earliest_ready
-        ~flow_name:"no-case1" inst.graph inst.allocation;
-      Flow.run ~config:fast_cfg ~placement_energy:`Uniform ~flow_name:"no-cp"
-        inst.graph inst.allocation;
-      Flow.run ~config:fast_cfg ~weight_update:false ~flow_name:"no-weights"
-        inst.graph inst.allocation;
-      Flow.run ~config:fast_cfg ~placer:`Force_directed
-        ~flow_name:"force-directed" inst.graph inst.allocation;
-      Flow.run ~config:fast_cfg ~router:`Negotiated ~flow_name:"negotiated"
-        inst.graph inst.allocation;
-    ]
-  in
   List.iter
-    (fun (r : Result_.t) ->
+    (fun variant ->
+      let r = Flow.run ~config:fast_cfg ~variant inst.graph inst.allocation in
+      Alcotest.(check string) "flow name" (Flow.name variant) r.flow;
       Alcotest.(check bool)
         (r.flow ^ " legal")
         true
         (Check.is_legal ~tc:fast_cfg.tc r.schedule))
-    variants
+    Flow.variants
+
+(* Warm start and repair reuse the flow's schedule and retime stages;
+   composed by hand they must rebuild [Flow.run]'s final schedule. *)
+let test_shared_stages_compose () =
+  let delayed = ref 0 in
+  List.iter
+    (fun (inst : Suite.instance) ->
+      let r = Flow.run ~config:fast_cfg inst.graph inst.allocation in
+      let sched, decision =
+        Flow.schedule ~config:fast_cfg `Ours inst.graph inst.allocation
+      in
+      Alcotest.(check bool) "heuristic: no decision" true (decision = None);
+      let fresh = List.map (fun t -> (t, 0.)) r.routing.tasks in
+      Alcotest.(check bool)
+        (r.benchmark ^ ": schedule then retime = Flow.run")
+        true
+        (Flow.retime sched fresh = r.schedule);
+      (* delays a task had already absorbed postpone nothing *)
+      let absorbed =
+        List.map (fun (t : Mfb_route.Routed.task) -> (t, t.delay)) r.routing.tasks
+      in
+      Alcotest.(check bool) (r.benchmark ^ ": absorbed delays") true
+        (Flow.retime sched absorbed == sched);
+      if r.schedule <> sched then incr delayed)
+    (Suite.all ());
+  Alcotest.(check bool) "some benchmark is retimed" true (!delayed > 0);
+  Alcotest.check_raises "BA binding takes no exact backend"
+    (Invalid_argument
+       "Flow.schedule: exact/portfolio backends only replace the Case-I \
+        scheduler")
+    (fun () ->
+      let pcr = Suite.pcr () in
+      ignore
+        (Flow.schedule
+           ~config:{ fast_cfg with backend = Mfb_schedule.Portfolio.Exact }
+           `Ba pcr.graph pcr.allocation))
+
+(* The MD5 of [Result.to_json] without its two wall-clock fields pins
+   every deterministic byte of an ablation run. *)
+let digest_of (r : Result_.t) =
+  match Result_.to_json r with
+  | Mfb_util.Json.Obj fields ->
+    let fields =
+      List.filter
+        (fun (k, _) -> k <> "cpu_time_s" && k <> "wall_time_s")
+        fields
+    in
+    Mfb_util.Json.Obj fields |> Mfb_util.Json.to_string |> Digest.string
+    |> Digest.to_hex
+  | _ -> Alcotest.fail "Result.to_json is not an object"
+
+let test_ablation_digests () =
+  let pinned =
+    [
+      ( `No_case1,
+        "d327d84e934a837a1bed006dd3d003dc",
+        "3806893ac935d660f806f1afe93a587b" );
+      ( `No_cp,
+        "c87cbc7a85064a24941ef4e3b721e477",
+        "46b891da6fc37735dc99a0a8b8bc8f1a" );
+      ( `No_weights,
+        "09a9868175bdd85bb7f1857f3a6b6ca7",
+        "877cfde07cffce03a465a5ac4a41842d" );
+      ( `Force_directed,
+        "a777221a2b9d6fd1200d2af9aaab9917",
+        "7cb3a4c6d7c85714c26e6ce8b5da3d6d" );
+      ( `Negotiated,
+        "7b21b15331f233fb4ca7df28b61f6d21",
+        "f4da3a3012aa2b1b090b648c81735298" );
+    ]
+  in
+  List.iter
+    (fun (variant, pcr, cpa) ->
+      List.iter
+        (fun ((inst : Suite.instance), expected) ->
+          let r = Flow.run ~config:cfg ~variant inst.graph inst.allocation in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s" r.benchmark r.flow)
+            expected (digest_of r))
+        [ (Suite.pcr (), pcr); (Suite.cpa (), cpa) ])
+    pinned
 
 let test_flow_exact_truncation_surfaces () =
   (* A starved fuel budget must still produce a legal schedule (the
@@ -594,6 +663,9 @@ let suites =
       [
         Alcotest.test_case "flow deterministic" `Quick test_flow_deterministic;
         Alcotest.test_case "ablations run" `Quick test_ablations_run;
+        Alcotest.test_case "ablation digests" `Quick test_ablation_digests;
+        Alcotest.test_case "shared stages compose" `Quick
+          test_shared_stages_compose;
         Alcotest.test_case "exact truncation surfaces" `Quick
           test_flow_exact_truncation_surfaces;
       ] );

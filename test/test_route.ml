@@ -765,7 +765,7 @@ let test_negotiated_validation () =
 
 let baseline_instance index =
   let g, alloc = List.nth (Testkit.suite_instances ()) index in
-  let sched = Mfb_schedule.Baseline_scheduler.schedule ~tc g alloc in
+  let sched = Mfb_schedule.Engine.run ~case1:false ~tc g alloc in
   let nets = Mfb_place.Energy.uniform (Mfb_place.Net.of_schedule sched) in
   let chip = Mfb_place.Greedy_place.place ~nets sched.components in
   (sched, chip, Baseline_router.route ~we ~tc chip sched)

@@ -7,10 +7,14 @@ module Fluid = Mfb_bioassay.Fluid
 module Allocation = Mfb_component.Allocation
 module Types = Mfb_schedule.Types
 module Dcsa = Mfb_schedule.Dcsa_scheduler
-module Baseline = Mfb_schedule.Baseline_scheduler
 module Metrics = Mfb_schedule.Metrics
 module Retime = Mfb_schedule.Retime
 module Check = Mfb_schedule.Check
+
+(* BA's binding rule: earliest-ready, no Case-I preference. *)
+module Baseline = struct
+  let schedule ~tc g alloc = Mfb_schedule.Engine.run ~case1:false ~tc g alloc
+end
 
 let tc = 2.0
 

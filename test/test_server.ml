@@ -858,6 +858,80 @@ let test_latency_histogram_tracks_requests () =
 
 module Defect = Mfb_repair.Defect
 
+(* --- a failing job fails alone; client overrides are capped --- *)
+
+let good_submit = {|{"op":"submit","id":"good","benchmark":"PCR"}|}
+
+(* tc = 1e308 passes config validation but overflows synthesis *)
+let bad_submit = {|{"op":"submit","id":"bad","benchmark":"IVD","tc":1e308}|}
+
+let test_failing_job_fails_alone () =
+  List.iter
+    (fun jobs ->
+      let clean, _ =
+        with_access_log ~jobs [ good_submit; {|{"op":"result","id":"good"}|} ]
+      in
+      let mixed, log =
+        with_access_log ~jobs
+          [ good_submit; bad_submit; {|{"op":"result","id":"good"}|};
+            {|{"op":"result","id":"bad"}|}; {|{"op":"status","id":"bad"}|};
+            (* the good result was cached as usual *)
+            {|{"op":"submit","id":"again","benchmark":"PCR"}|};
+            {|{"op":"stats"}|} ]
+      in
+      let name what = Printf.sprintf "jobs=%d: %s" jobs what in
+      Alcotest.(check string) (name "good payload unchanged by bad")
+        (List.nth clean 1) (List.nth mixed 2);
+      let failed = List.nth mixed 3 in
+      Alcotest.(check bool) (name "bad answers a structured failure") true
+        (contains ~sub:{|"ok":false,"op":"result","id":"bad"|} failed
+        && contains ~sub:"synthesis failed: Invalid_argument" failed);
+      Alcotest.(check string) (name "bad is shed")
+        {|{"ok":true,"op":"status","id":"bad","state":"shed"}|}
+        (List.nth mixed 4);
+      Alcotest.(check bool) (name "good cached") true
+        (contains ~sub:{|"hits":1|} (List.nth mixed 6));
+      let records = String.split_on_char '\n' (String.trim log) in
+      Alcotest.(check int) (name "every request logged") 3
+        (List.length records);
+      Alcotest.(check bool) (name "bad logged as shed with its reason") true
+        (contains ~sub:{|"id":"bad","key":|} (List.nth records 1)
+        && contains ~sub:{|"outcome":"shed","reason":"synthesis failed: |}
+             (List.nth records 1)))
+    [ 1; 2 ]
+
+let test_sa_restarts_override_capped () =
+  let s = server () in
+  let submit_restarts restarts =
+    Server.handle_line s
+      (Printf.sprintf
+         {|{"op":"submit","id":"r%d","benchmark":"PCR","sa_restarts":%d}|}
+         restarts restarts)
+  in
+  Alcotest.(check (option string)) "10^8 restarts refused at submit"
+    (Some
+       {|{"ok":false,"op":"submit","id":"r100000000","reason":"sa_restarts 100000000 exceeds the limit of 64"}|})
+    (submit_restarts 100_000_000);
+  (match submit_restarts 64 with
+   | Some line ->
+     Alcotest.(check bool) "64 restarts admitted" true
+       (contains ~sub:{|"ok":true|} line)
+   | None -> Alcotest.fail "submit must answer");
+  (match Server.handle s P.Stats with
+   | P.Stats_reply stats ->
+     Alcotest.(check bool) "counted as rejected" true
+       (Json.member "rejected" stats = Some (Json.Int 1))
+   | r -> Alcotest.failf "stats: %s" (P.response_to_line r));
+  (* the operator's own setting is not a client override *)
+  let operator =
+    Server.create
+      { Server.default_config with
+        flow_config = { Config.default with sa_restarts = 100 } }
+  in
+  match Server.handle operator (submit ~id:"op" pcr) with
+  | P.Submitted _ -> ()
+  | r -> Alcotest.failf "operator restarts: %s" (P.response_to_line r)
+
 let repair_reply = function
   | P.Repair_result { report; warm; _ } -> (Json.to_string report, warm)
   | r -> Alcotest.failf "repair: %s" (P.response_to_line r)
@@ -1076,6 +1150,10 @@ let suites =
         Alcotest.test_case "repair errors" `Quick test_server_repair_errors;
         Alcotest.test_case "latency histogram tracks requests" `Quick
           test_latency_histogram_tracks_requests;
+        Alcotest.test_case "a failing job fails alone" `Quick
+          test_failing_job_fails_alone;
+        Alcotest.test_case "client sa_restarts override capped" `Quick
+          test_sa_restarts_override_capped;
         prop_server_responses_invariant;
       ] );
   ]
