@@ -26,14 +26,7 @@ module Client = Mfb_server.Client
 module Cluster = Mfb_cluster.Cluster
 module Fault = Mfb_cluster.Fault
 
-let arg_value name default parse =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then
-      match parse Sys.argv.(i + 1) with Some v -> v | None -> default
-    else scan (i + 1)
-  in
-  scan 0
+open Bench_kit
 
 let requests = arg_value "--requests" 24 int_of_string_opt
 let fleet = arg_value "--fleet" 2 int_of_string_opt
@@ -48,8 +41,6 @@ let worker_bin =
        (Filename.dirname Sys.executable_name)
        "../bin/dcsa_synth.exe")
     (fun s -> Some s)
-
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 (* The request script: PCR/IVD submissions with a small seed pool, so
    batches mix cache hits with fresh synthesis.  Pure function of
@@ -163,10 +154,6 @@ let with_fleet ~plan f =
       Cluster.stop cluster;
       Option.iter Sys.remove plan_file)
     (fun () -> f cluster)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
 let counter name json =
   match Json.member name json with Some (Json.Int i) -> i | _ -> 0

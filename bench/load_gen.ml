@@ -45,14 +45,7 @@ module P = Mfb_server.Protocol
 module Server = Mfb_server.Server
 module Client = Mfb_server.Client
 
-let arg_value name default parse =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then
-      match parse Sys.argv.(i + 1) with Some v -> v | None -> default
-    else scan (i + 1)
-  in
-  scan 0
+open Bench_kit
 
 let requests = arg_value "--requests" 240 int_of_string_opt
 let repeat_fraction = arg_value "--repeat" 0.9 float_of_string_opt
@@ -106,8 +99,6 @@ let submit_of ~id ~job_seed =
       trace = None;
     }
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
-
 (* Replay the script: submit + result per entry, recording per-request
    latency both client-side (gettimeofday around the round trip) and
    server-side (the wall-clock latency histogram).  Returns
@@ -152,10 +143,6 @@ let replay ~cache_capacity =
       (Mfb_util.Histogram.count hist) requests;
   (elapsed, latencies, List.rev !payloads, stats,
    Mfb_util.Histogram.snapshot_json hist)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
 let rec int_at path json =
   match path with

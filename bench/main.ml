@@ -21,25 +21,13 @@ let section title =
    domain count.  Every parallel section is deterministic in the result,
    so the flag only moves wall-clock time. *)
 let jobs =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--jobs" then int_of_string_opt Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  match scan 0 with
-  | Some j when j >= 1 -> j
-  | Some _ | None -> Mfb_util.Pool.default_jobs ()
+  Bench_kit.arg_value "--jobs" (Mfb_util.Pool.default_jobs ()) (fun s ->
+      match int_of_string_opt s with Some j when j >= 1 -> Some j | _ -> None)
 
 (* --trace FILE records telemetry over the whole harness run and writes
    a Chrome trace_event JSON (open in Perfetto; validate with
    'dcsa-synth trace FILE'). *)
-let trace_file =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--trace" then Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 0
+let trace_file = Bench_kit.arg_value "--trace" None (fun s -> Some (Some s))
 
 let trace_sink =
   match trace_file with

@@ -28,14 +28,7 @@ module Json = Mfb_util.Json
 module Defect = Mfb_repair.Defect
 module Plan = Mfb_repair.Plan
 
-let arg_value name default parse =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then
-      match parse Sys.argv.(i + 1) with Some v -> v | None -> default
-    else scan (i + 1)
-  in
-  scan 0
+open Bench_kit
 
 let benchmarks =
   arg_value "--benchmarks" [ "PCR"; "IVD" ] (fun s ->
@@ -45,8 +38,6 @@ let defects = arg_value "--defects" 10 int_of_string_opt
 let seed = arg_value "--seed" 7 int_of_string_opt
 let slo_x = arg_value "--slo-x" 1.0 float_of_string_opt
 let out_file = arg_value "--out" "BENCH_repair.json" (fun s -> Some s)
-
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let config = Mfb_core.Config.default
 

@@ -23,11 +23,12 @@ let verbose_arg =
 (* Telemetry session around one command: a sink is installed whenever
    any observability output is requested ([-v] included, so span
    open/close reach the debug log); the Chrome trace and the folded
-   flamegraph stacks are written after the command body finishes. *)
-let with_telemetry ~verbose ~trace ?folded ~metrics f =
+   flamegraph stacks are written after the command body finishes.
+   [clock] stamps the spans (default: wall time). *)
+let with_telemetry ?clock ~verbose ~trace ?folded ~metrics f =
   if not (verbose || metrics || trace <> None || folded <> None) then f ()
   else begin
-    let sink = Telemetry.make_sink () in
+    let sink = Telemetry.make_sink ?clock () in
     Telemetry.install sink;
     if verbose then
       Telemetry.set_span_hook
@@ -108,14 +109,6 @@ let benchmark_arg =
   let doc = "Benchmark name (PCR, IVD, CPA, Synthetic1..Synthetic4)." in
   Arg.(value & opt (some string) None & info [ "b"; "benchmark" ] ~doc)
 
-let tc_arg =
-  let doc = "Transport-time constant t_c in seconds." in
-  Arg.(value & opt float Mfb_core.Config.default.tc & info [ "tc" ] ~doc)
-
-let seed_arg =
-  let doc = "Random seed for the annealing placer." in
-  Arg.(value & opt int Mfb_core.Config.default.seed & info [ "seed" ] ~doc)
-
 (* An int converter that rejects values < 1 at parse time, so --jobs 0
    fails like any other malformed option instead of as an uncaught
    exception deep in the flow. *)
@@ -127,6 +120,25 @@ let positive_int =
     | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* The same for floats: --tc 0, inf or nan is a usage error. *)
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x && x > 0. -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not a finite number > 0" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let tc_arg =
+  let doc = "Transport-time constant t_c in seconds." in
+  Arg.(
+    value & opt positive_float Mfb_core.Config.default.tc & info [ "tc" ] ~doc)
+
+let seed_arg =
+  let doc = "Random seed for the annealing placer." in
+  Arg.(value & opt int Mfb_core.Config.default.seed & info [ "seed" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -438,24 +450,9 @@ let synth_cmd =
 
 let explore_cmd =
   let action benchmark input tc =
-    let graph =
-      match benchmark, input with
-      | Some _, Some _ -> Error "use either -b or -i, not both"
-      | Some name, None ->
-        Stdlib.Result.map
-          (fun (i : Mfb_core.Suite.instance) -> i.graph)
-          (lookup_benchmark name)
-      | None, Some path ->
-        (match Mfb_bioassay.Assay_file.of_file path with
-         | Ok g -> Ok g
-         | Error e ->
-           Error
-             (Format.asprintf "%s: %a" path Mfb_bioassay.Assay_file.pp_error e))
-      | None, None -> Error "missing -b BENCHMARK or -i FILE"
-    in
-    match graph with
+    match resolve_instance ~benchmark ~input ~alloc:None with
     | Error msg -> `Error (false, msg)
-    | Ok graph ->
+    | Ok { graph; _ } ->
       let frontier = Mfb_core.Allocator.explore ~tc graph in
       List.iter
         (fun (p : Mfb_core.Allocator.point) ->
@@ -482,23 +479,9 @@ let explore_cmd =
 
 let info_cmd =
   let action benchmark input =
-    let graph =
-      match benchmark, input with
-      | Some name, None ->
-        Stdlib.Result.map
-          (fun (i : Mfb_core.Suite.instance) -> i.graph)
-          (lookup_benchmark name)
-      | None, Some path ->
-        (match Mfb_bioassay.Assay_file.of_file path with
-         | Ok g -> Ok g
-         | Error e ->
-           Error
-             (Format.asprintf "%s: %a" path Mfb_bioassay.Assay_file.pp_error e))
-      | _ -> Error "need exactly one of -b BENCHMARK or -i FILE"
-    in
-    match graph with
+    match resolve_instance ~benchmark ~input ~alloc:None with
     | Error msg -> `Error (false, msg)
-    | Ok g ->
+    | Ok { graph = g; _ } ->
       let counts = Mfb_bioassay.Seq_graph.kind_counts g in
       let volume = Mfb_bioassay.Volume.analyse g in
       Printf.printf "%s\n" (Mfb_bioassay.Seq_graph.name g);
@@ -822,24 +805,10 @@ let trace_cmd =
 
 let dot_cmd =
   let action benchmark input =
-    let graph =
-      match benchmark, input with
-      | Some name, None ->
-        Stdlib.Result.map
-          (fun (i : Mfb_core.Suite.instance) -> i.graph)
-          (lookup_benchmark name)
-      | None, Some path ->
-        (match Mfb_bioassay.Assay_file.of_file path with
-         | Ok g -> Ok g
-         | Error e ->
-           Error
-             (Format.asprintf "%s: %a" path Mfb_bioassay.Assay_file.pp_error e))
-      | _ -> Error "need exactly one of -b BENCHMARK or -i FILE"
-    in
-    match graph with
+    match resolve_instance ~benchmark ~input ~alloc:None with
     | Error msg -> `Error (false, msg)
-    | Ok g ->
-      print_string (Mfb_bioassay.Seq_graph.to_dot g);
+    | Ok { graph; _ } ->
+      print_string (Mfb_bioassay.Seq_graph.to_dot graph);
       `Ok ()
   in
   Cmd.v
@@ -1119,60 +1088,37 @@ let serve_cmd =
         }
       in
       (* Same server, two transports: the stdio loop, or the select
-         loop multiplexing many connections through it. *)
-      let run_server server =
-        match tcp with
-        | None -> Mfb_server.Server.serve server
-        | Some port ->
-          let lcfg =
-            {
-              Mfb_net.Listener.default_config with
-              port;
-              max_conns;
-              port_file;
-            }
-          in
-          ignore (Mfb_net.Listener.run lcfg server)
-      in
-      (* The sink's clock reads the server's virtual tick, so every
-         span timestamp — including worker spans grafted after the
-         fact — is a pure function of the request script. *)
+         loop multiplexing many connections through it.  The sink's
+         clock reads the server's virtual tick, so every span
+         timestamp — including worker spans grafted after the fact — is
+         a pure function of the request script. *)
       let serve_with server =
-        let sink =
-          if trace <> None || folded <> None then begin
-            let clock =
-              if wall_clock then Unix.gettimeofday
-              else
-                fun () ->
-                  float_of_int (Mfb_server.Server.current_tick server)
-            in
-            let s = Telemetry.make_sink ~clock () in
-            Telemetry.install s;
-            Some s
-          end
-          else None
+        let clock =
+          if wall_clock then None
+          else
+            Some
+              (fun () -> float_of_int (Mfb_server.Server.current_tick server))
         in
         Fun.protect
-          ~finally:(fun () ->
-            (match sink with
-             | Some s ->
-               (match trace with
-                | Some path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Mfb_util.Json.to_channel ~indent:1 oc
-                        (Telemetry.to_chrome_json s));
-                  Printf.eprintf "wrote %s\n" path
-                | None -> ());
-               (match folded with
-                | Some path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      output_string oc (Telemetry.to_folded s));
-                  Printf.eprintf "wrote %s\n" path
-                | None -> ());
-               Telemetry.uninstall ()
-             | None -> ());
-            match access_oc with Some oc -> close_out oc | None -> ())
-          (fun () -> run_server server)
+          ~finally:(fun () -> Option.iter close_out access_oc)
+          (fun () ->
+            with_telemetry ?clock ~verbose:false ~trace ?folded ~metrics:false
+              (fun () ->
+                match tcp with
+                | None ->
+                  Mfb_net.Listener.run_channels
+                    ~stop:(fun () -> Mfb_server.Server.shutting_down server)
+                    (Mfb_server.Server.handle_line server)
+                    stdin stdout
+                | Some port ->
+                  Mfb_net.Listener.run
+                    {
+                      Mfb_net.Listener.default_config with
+                      port;
+                      max_conns;
+                      port_file;
+                    }
+                    server))
       in
       if fleet = 0 then begin
         serve_with (Mfb_server.Server.create base_cfg);

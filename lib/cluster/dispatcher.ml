@@ -75,6 +75,11 @@ let run_batch ?route ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
       bump "retries"
     end
   in
+  let garbage p slot =
+    fault p slot ~outcome:"garbage" ~counter:(fun () ->
+        stats.garbage <- stats.garbage + 1;
+        bump "garbage")
+  in
   Supervisor.tick sup;
   if cfg.heartbeat then
     List.iter
@@ -161,10 +166,8 @@ let run_batch ?route ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
                stats.dispatched <- stats.dispatched + 1;
                bump "dispatched";
                Supervisor.succeed sup slot
-             | None ->
-               fault p slot ~outcome:"garbage" ~counter:(fun () ->
-                   stats.garbage <- stats.garbage + 1;
-                   bump "garbage"))
+             | None -> garbage p slot)
+          | Worker_proc.Oversized _ -> garbage p slot
           | Worker_proc.Timeout ->
             fault p slot ~outcome:"timeout" ~counter:(fun () ->
                 stats.timeouts <- stats.timeouts + 1;

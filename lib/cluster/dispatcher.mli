@@ -4,8 +4,8 @@
     worker (jobs in batch order, slots in slot order, skipping each
     job's excluded slots), sends every request, then collects responses
     in job order under a per-job wall-clock deadline.  A fault — EOF
-    (crash), deadline (stall), an unparseable or mismatched response
-    line (garbage / truncation) — kills the worker via
+    (crash), deadline (stall), an unparseable, mismatched or oversized
+    response line (garbage / truncation) — kills the worker via
     {!Supervisor.fail}, adds the slot to the job's excluded set, and
     retries the job on another worker in a later wave, at most
     [max_retries] extra attempts.
@@ -38,7 +38,8 @@ type stats = {
   mutable degraded : int;
   mutable crashes : int;     (** EOF before a response *)
   mutable timeouts : int;    (** deadline expiries *)
-  mutable garbage : int;     (** unparseable or mismatched responses *)
+  mutable garbage : int;     (** unparseable, mismatched or oversized
+                                 responses *)
   mutable heartbeat_failures : int;
   mutable routed : int;
       (** jobs sent to their [route]-preferred slot — how often the

@@ -3,11 +3,6 @@ module Telemetry = Mfb_util.Telemetry
 module P = Mfb_server.Protocol
 module Server = Mfb_server.Server
 
-let respond oc resp =
-  output_string oc (P.response_to_line resp);
-  output_char oc '\n';
-  flush oc
-
 (* Answer one resolved submit: the same computation the in-process
    server path runs, so recovery by re-dispatch (or by degradation) is
    answer-preserving by construction.  When the submit carries trace
@@ -60,73 +55,52 @@ let answer ?(vclock = false) ~index ~config ~id ~flow ~spec ~overrides ~trace
        reply (Some spans) outcome)
 
 let run ?(fault = Fault.empty) ?(index = 0) ?(vclock = false) ~config ic oc =
-  let jobs_done = ref 0 in
-  let rec loop () =
-    match P.input_line_bounded ic with
-    | P.Eof -> ()
-    | P.Oversized n ->
-      respond oc
-        (P.Bad_request
-           {
-             id = None;
-             message =
-               Printf.sprintf "line too long: %d bytes exceed the %d-byte limit"
-                 n P.default_max_line_bytes;
-           });
-      loop ()
-    | P.Line line ->
-      let trimmed = String.trim line in
-      if trimmed = "" || trimmed.[0] = '#' then loop ()
-      else begin
-        (match P.request_of_line trimmed with
-         | Error message -> respond oc (P.Bad_request { id = None; message })
-         | Ok (P.Submit { id; flow; spec; overrides; trace; _ }) ->
-           let job = !jobs_done in
-           incr jobs_done;
-           let answer () =
-             answer ~vclock ~index ~config ~id ~flow ~spec ~overrides ~trace
-               ()
-           in
-           (match Fault.lookup fault ~worker:index ~job with
-            | Some Fault.Crash -> exit 3
-            | Some Fault.Stall ->
-              (* Never answer; if the dispatcher's deadline somehow does
-                 not fire, die eventually rather than leak forever. *)
-              Unix.sleepf 3600.0;
-              exit 3
-            | Some Fault.Garbage ->
-              output_string oc "%% corrupted response line %%\n";
-              flush oc
-            | Some Fault.Truncate ->
-              let full = P.response_to_line (answer ()) in
-              output_string oc (String.sub full 0 (String.length full / 2));
-              flush oc;
-              exit 3
-            | Some (Fault.Slow s) ->
-              Unix.sleepf s;
-              respond oc (answer ())
-            | None -> respond oc (answer ()))
-         | Ok P.Stats ->
-           respond oc
-             (P.Stats_reply
-                (Json.Obj
-                   [ ("worker", Json.Int index);
-                     ("jobs", Json.Int !jobs_done) ]))
-         | Ok P.Shutdown ->
-           respond oc
-             (P.Goodbye
-                (Json.Obj
-                   [ ("worker", Json.Int index);
-                     ("jobs", Json.Int !jobs_done) ]));
-           raise Exit
-         | Ok (P.Status _ | P.Result _ | P.Repair _ | P.Stats_prom) ->
-           respond oc
-             (P.Bad_request
-                {
-                  id = None;
-                  message = "workers answer submit/stats/shutdown only";
-                }));
-        loop ()
-      end
+  let jobs_done = ref 0 and stopping = ref false in
+  let reply resp = Some (P.response_to_line resp) in
+  let heartbeat () =
+    Json.Obj [ ("worker", Json.Int index); ("jobs", Json.Int !jobs_done) ]
   in
-  try loop () with Exit -> ()
+  let handle line =
+    let trimmed = String.trim line in
+    if trimmed = "" || trimmed.[0] = '#' then None
+    else
+      match P.request_of_line trimmed with
+      | Error message -> reply (P.Bad_request { id = None; message })
+      | Ok (P.Submit { id; flow; spec; overrides; trace; _ }) ->
+        let job = !jobs_done in
+        incr jobs_done;
+        let compute () =
+          P.response_to_line
+            (answer ~vclock ~index ~config ~id ~flow ~spec ~overrides ~trace
+               ())
+        in
+        (match Fault.lookup fault ~worker:index ~job with
+         | Some Fault.Crash -> exit 3
+         | Some Fault.Stall ->
+           (* Never answer; if the dispatcher's deadline somehow does
+              not fire, die eventually rather than leak forever. *)
+           Unix.sleepf 3600.0;
+           exit 3
+         | Some Fault.Garbage -> Some "%% corrupted response line %%"
+         | Some Fault.Truncate ->
+           let full = compute () in
+           output_string oc (String.sub full 0 (String.length full / 2));
+           flush oc;
+           exit 3
+         | Some (Fault.Slow s) ->
+           Unix.sleepf s;
+           Some (compute ())
+         | None -> Some (compute ()))
+      | Ok P.Stats -> reply (P.Stats_reply (heartbeat ()))
+      | Ok P.Shutdown ->
+        stopping := true;
+        reply (P.Goodbye (heartbeat ()))
+      | Ok (P.Status _ | P.Result _ | P.Repair _ | P.Stats_prom) ->
+        reply
+          (P.Bad_request
+             {
+               id = None;
+               message = "workers answer submit/stats/shutdown only";
+             })
+  in
+  Mfb_net.Listener.run_channels ~stop:(fun () -> !stopping) handle ic oc

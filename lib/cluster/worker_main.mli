@@ -12,9 +12,13 @@
     - [stats] is the heartbeat: answered immediately with the worker's
       slot index and jobs-done count;
     - [shutdown] answers [Goodbye] and returns;
-    - anything else (including oversized lines, see
-      {!Mfb_server.Protocol.input_line_bounded}) gets an [error]
-      response and the loop continues.
+    - anything else gets an [error] response and the loop continues.
+
+    Lines are read and answered by {!Mfb_net.Listener.run_channels},
+    the loop stdio [serve] runs: an oversized line gets the same
+    [error] bytes as on [serve], and a reply the supervisor can no
+    longer read (closed pipe) is logged and ends the loop instead of
+    killing the process with SIGPIPE.
 
     When a {!Fault.plan} is given, the worker consults it before
     answering each [submit] (job indices count submits only, since this

@@ -1,15 +1,17 @@
+module Frame = Mfb_net.Frame
+
 type t = {
   slot_ : int;
   pid_ : int;
   to_worker : out_channel;
   from_worker : Unix.file_descr;
-  mutable pending : string;  (* bytes read past the last returned line *)
+  frame : Frame.t;  (* reply bytes read past the last returned line *)
   mutable alive : bool;
   mutable reaped : bool;
   mutable closed : bool;
 }
 
-type read_result = Line of string | Timeout | Eof
+type read_result = Line of string | Oversized of int | Timeout | Eof
 
 let spawn ~slot argv =
   if Array.length argv = 0 then invalid_arg "Worker_proc.spawn: empty argv";
@@ -29,7 +31,7 @@ let spawn ~slot argv =
     pid_ = pid;
     to_worker = Unix.out_channel_of_descr in_write;
     from_worker = out_read;
-    pending = "";
+    frame = Frame.create ();
     alive = true;
     reaped = false;
     closed = false;
@@ -50,45 +52,33 @@ let send_line t line =
     | exception Sys_error msg -> Error msg
     | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
 
-let recv_line ?(max_bytes = Mfb_server.Protocol.default_max_line_bytes)
-    ~timeout t =
+let of_event = function
+  | Frame.Line line -> Line line
+  | Frame.Oversized n -> Oversized n
+
+let recv_line ~timeout t =
   let deadline = Unix.gettimeofday () +. timeout in
   let chunk = Bytes.create 4096 in
   let rec go () =
-    match String.index_opt t.pending '\n' with
-    | Some i ->
-      let line = String.sub t.pending 0 i in
-      t.pending <-
-        String.sub t.pending (i + 1) (String.length t.pending - i - 1);
-      Line line
+    match Frame.next t.frame with
+    | Some ev -> of_event ev
     | None ->
-      if String.length t.pending > max_bytes then begin
-        let line = t.pending in
-        t.pending <- "";
-        Line line
-      end
-      else begin
-        let remaining = deadline -. Unix.gettimeofday () in
-        if remaining <= 0.0 then Timeout
-        else
-          match Unix.select [ t.from_worker ] [] [] remaining with
-          | [], _, _ -> Timeout
-          | _ ->
-            (match Unix.read t.from_worker chunk 0 (Bytes.length chunk) with
-             | 0 ->
-               if t.pending = "" then Eof
-               else begin
-                 (* partial line at EOF: surface it, then EOF next call *)
-                 let line = t.pending in
-                 t.pending <- "";
-                 Line line
-               end
-             | n ->
-               t.pending <- t.pending ^ Bytes.sub_string chunk 0 n;
-               go ()
-             | exception Unix.Unix_error ((Unix.EBADF | Unix.EPIPE), _, _) ->
-               Eof)
-      end
+      let remaining = deadline -. Unix.gettimeofday () in
+      if remaining <= 0.0 then Timeout
+      else
+        match Unix.select [ t.from_worker ] [] [] remaining with
+        | [], _, _ -> Timeout
+        | _ ->
+          (match Unix.read t.from_worker chunk 0 (Bytes.length chunk) with
+           | 0 ->
+             (* a partial line at EOF surfaces first, then EOF *)
+             Frame.close t.frame;
+             Option.fold ~none:Eof ~some:of_event (Frame.next t.frame)
+           | n ->
+             Frame.feed_bytes t.frame chunk n;
+             go ()
+           | exception Unix.Unix_error ((Unix.EBADF | Unix.EPIPE), _, _) ->
+             Eof)
   in
   go ()
 
@@ -101,7 +91,7 @@ let ping ~timeout t =
        (match Mfb_server.Protocol.response_of_line line with
         | Ok (Mfb_server.Protocol.Stats_reply _) -> true
         | _ -> false)
-     | Timeout | Eof -> false)
+     | Oversized _ | Timeout | Eof -> false)
 
 let reap t ~blocking =
   if not t.reaped then begin

@@ -5,15 +5,19 @@
     deadline-bounded line reads (so a stalled worker costs a timeout,
     never a hang), a [stats]-based heartbeat, and SIGKILL teardown.
 
-    Reads are buffered per handle: bytes after the first newline are
-    kept for the next read, and a partial line at EOF is surfaced as a
-    line (which then fails to parse — exactly how a [Truncate] fault
-    becomes visible). *)
+    Replies are framed per handle by {!Mfb_net.Frame}, the reader every
+    other transport uses: bytes after the first newline are kept for
+    the next read, a reply over the 1 MiB line cap is consumed whole and
+    reported once as [Oversized], and a partial line at EOF is surfaced
+    as a line (which then fails to parse — exactly how a [Truncate]
+    fault becomes visible). *)
 
 type t
 
 type read_result =
   | Line of string  (** next line, newline stripped *)
+  | Oversized of int
+      (** next line exceeded the line cap; carries its full byte length *)
   | Timeout         (** deadline elapsed with no complete line *)
   | Eof             (** worker closed its stdout (crash or exit) *)
 
@@ -31,11 +35,8 @@ val send_line : t -> string -> (unit, string) result
 (** Write one request line and flush.  [Error _] when the worker is gone
     (EPIPE et al.) — the caller treats that as a worker fault. *)
 
-val recv_line : ?max_bytes:int -> timeout:float -> t -> read_result
-(** Wait up to [timeout] seconds (wall clock) for the next newline.  A
-    line longer than [max_bytes]
-    (default {!Mfb_server.Protocol.default_max_line_bytes}) is returned
-    as-is and left to fail protocol parsing. *)
+val recv_line : timeout:float -> t -> read_result
+(** Wait up to [timeout] seconds (wall clock) for the next newline. *)
 
 val ping : timeout:float -> t -> bool
 (** Heartbeat: send [{"op":"stats"}] and check that a well-formed stats

@@ -41,6 +41,7 @@ let to_json cfg =
 
 let validate cfg =
   if cfg.tc <= 0. then invalid_arg "Config: tc must be positive";
+  if not (Float.is_finite cfg.tc) then invalid_arg "Config: tc must be finite";
   if cfg.we < 0. then invalid_arg "Config: we must be non-negative";
   if cfg.beta < 0. || cfg.gamma < 0. then
     invalid_arg "Config: beta and gamma must be non-negative";

@@ -43,10 +43,19 @@ let feed_bytes t chunk n = feed t (Bytes.sub_string chunk 0 n)
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (* partial line at EOF: surface it, matching input_line_bounded *)
+    (* partial line at EOF: surface it rather than drop it *)
     if t.over > 0 || Buffer.length t.cur > 0 then finish_line t
   end
 
 let next t = Queue.take_opt t.ready
 
-let buffered t = Buffer.length t.cur
+let rec read t ic =
+  match next t with
+  | Some _ as ev -> ev
+  | None when t.closed -> None
+  | None ->
+    let chunk = Bytes.create 4096 in
+    (match input ic chunk 0 (Bytes.length chunk) with
+     | 0 -> close t
+     | n -> feed_bytes t chunk n);
+    read t ic

@@ -1,10 +1,7 @@
-(** Incremental bounded line framing for socket buffers.
-
-    {!Mfb_server.Protocol.input_line_bounded} reads whole lines from a
-    blocking [in_channel]; a socket event loop instead receives
-    arbitrary byte chunks and must carve the same frames out of them
-    without ever blocking.  This module is that reader, state-machine
-    style, with identical semantics:
+(** Bounded line framing: the one reader for every request and reply
+    line the serving tier takes from a pipe or a socket — stdio
+    [serve], TCP connections, a worker's stdin and the supervisor's
+    view of each worker's replies.
 
     - a frame is one newline-terminated line, newline stripped;
     - a line whose payload exceeds [max_bytes] (default
@@ -12,13 +9,15 @@
       {e whole} — the stream resynchronises at the next newline — and
       surfaces as [Oversized] carrying its full byte length, so the
       caller can answer with a structured error and keep serving;
-    - a partial line pending when the peer closes is surfaced as a final
-      [Line] rather than dropped.
+    - a partial line pending at EOF is surfaced as a final [Line]
+      rather than dropped.
 
-    Feed raw chunks with {!feed} (or signal EOF with {!close}), then
-    drain completed frames with {!next}.  Memory is bounded: at most
-    [max_bytes] of the current partial line are retained, the rest of an
-    oversized line is counted and discarded as it streams in. *)
+    A socket event loop feeds raw chunks with {!feed} (or signals EOF
+    with {!close}) and drains completed frames with {!next}, never
+    blocking; a blocking reader calls {!read} on an [in_channel].
+    Memory is bounded: at most [max_bytes] of the current partial line
+    are retained, the rest of an oversized line is counted and
+    discarded as it streams in. *)
 
 type t
 
@@ -43,6 +42,7 @@ val next : t -> event option
 (** Pop the next completed frame, oldest first; [None] when every fed
     byte has been consumed or is part of a still-incomplete line. *)
 
-val buffered : t -> int
-(** Bytes of the current incomplete line held in memory (bounded by
-    [max_bytes]); diagnostic only. *)
+val read : t -> in_channel -> event option
+(** Blocking {!next}: feed [t] from the channel until a frame is
+    complete; [None] once the channel is at EOF and every frame has been
+    returned. *)

@@ -5,31 +5,67 @@ type config = {
   host : string;
   port : int;
   max_conns : int;
-  max_line_bytes : int;
-  max_pending_out : int;
   port_file : string option;
-  log : out_channel option;
 }
 
 let default_config =
-  {
-    host = "127.0.0.1";
-    port = 0;
-    max_conns = 64;
-    max_line_bytes = P.default_max_line_bytes;
-    max_pending_out = 4 * 1024 * 1024;
-    port_file = None;
-    log = Some stderr;
-  }
+  { host = "127.0.0.1"; port = 0; max_conns = 64; port_file = None }
 
-type stats = {
-  mutable accepted : int;
-  mutable conns_closed : int;
-  mutable lines : int;
-  mutable oversized : int;
-  mutable dropped_replies : int;
-  mutable dropped_bytes : int;
-}
+(* Unflushed reply bytes beyond which a connection is not read. *)
+let max_pending_out = 4 * 1024 * 1024
+
+(* The one rendering of the oversized-line error, for every transport. *)
+let answer handle = function
+  | Frame.Line line -> handle line
+  | Frame.Oversized len ->
+    Some
+      (P.response_to_line
+         (P.Bad_request
+            {
+              id = None;
+              message =
+                Printf.sprintf
+                  "input line too long: %d bytes exceeds the %d-byte limit"
+                  len P.default_max_line_bytes;
+            }))
+
+(* A peer vanishing mid-write must surface as EPIPE, never a signal. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ | Sys_error _ -> ()
+
+let run_channels ~stop handle ic oc =
+  ignore_sigpipe ();
+  let frame = Frame.create () in
+  (* A reply the peer can no longer read is logged and ends the loop;
+     the work itself (cache fills, counters, access log) has already
+     happened.  Closing the channel drops the unwritten bytes, so the
+     flush at exit has nothing left to fail on. *)
+  let write reply =
+    match
+      output_string oc reply;
+      output_char oc '\n';
+      flush oc
+    with
+    | () -> true
+    | exception
+        (Sys_error _ | Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _)) ->
+      close_out_noerr oc;
+      Printf.eprintf
+        "dcsa-serve: client disconnected; dropped reply (%d bytes)\n%!"
+        (String.length reply + 1);
+      false
+  in
+  let rec loop () =
+    if not (stop ()) then
+      match Frame.read frame ic with
+      | None -> ()
+      | Some ev ->
+        (match answer handle ev with
+         | Some reply -> if write reply then loop ()
+         | None -> loop ())
+  in
+  loop ()
 
 (* One client connection: inbound frames, outbound bytes not yet
    accepted by the kernel.  [out]/[out_pos] form a drain buffer — the
@@ -47,35 +83,10 @@ type conn = {
 
 let pending_out c = Buffer.length c.out - c.out_pos
 
-let logf cfg fmt =
-  Printf.ksprintf
-    (fun msg ->
-      match cfg.log with
-      | None -> ()
-      | Some oc ->
-        output_string oc msg;
-        output_char oc '\n';
-        flush oc)
-    fmt
-
-let run ?on_ready cfg server =
+let run cfg server =
   if cfg.max_conns < 1 then invalid_arg "Listener.run: max_conns < 1";
-  if cfg.max_pending_out < 1 then
-    invalid_arg "Listener.run: max_pending_out < 1";
-  (* a client vanishing mid-write must surface as EPIPE, never a signal *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
+  ignore_sigpipe ();
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let stats =
-    {
-      accepted = 0;
-      conns_closed = 0;
-      lines = 0;
-      oversized = 0;
-      dropped_replies = 0;
-      dropped_bytes = 0;
-    }
-  in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock
     (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
@@ -91,7 +102,6 @@ let run ?on_ready cfg server =
      Out_channel.with_open_text path (fun oc ->
          Printf.fprintf oc "%d\n" port)
    | None -> ());
-  (match on_ready with Some f -> f port | None -> ());
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let next_cid = ref 0 in
   (* true once a shutdown request has been handled: stop accepting and
@@ -99,42 +109,25 @@ let run ?on_ready cfg server =
   let stopping = ref false in
   let close_conn c =
     let dropped = pending_out c in
-    if dropped > 0 then begin
-      stats.dropped_replies <- stats.dropped_replies + c.pending_replies;
-      stats.dropped_bytes <- stats.dropped_bytes + dropped;
-      logf cfg
+    if dropped > 0 then
+      Printf.eprintf
         "dcsa-serve: client #%d disconnected with %d unread reply bytes \
-         (%d replies dropped)"
-        c.cid dropped c.pending_replies
-    end;
+         (%d replies dropped)\n%!"
+        c.cid dropped c.pending_replies;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    Hashtbl.remove conns c.fd;
-    stats.conns_closed <- stats.conns_closed + 1
+    Hashtbl.remove conns c.fd
   in
   let respond c line =
     Buffer.add_string c.out line;
     Buffer.add_char c.out '\n';
     c.pending_replies <- c.pending_replies + 1
   in
-  let handle_event c = function
-    | Frame.Line line ->
-      stats.lines <- stats.lines + 1;
-      (match Server.handle_line server line with
-       | Some reply -> respond c reply
-       | None -> ());
-      if Server.shutting_down server then stopping := true
-    | Frame.Oversized len ->
-      stats.oversized <- stats.oversized + 1;
-      respond c
-        (P.response_to_line
-           (P.Bad_request
-              {
-                id = None;
-                message =
-                  Printf.sprintf
-                    "input line too long: %d bytes exceeds the %d-byte limit"
-                    len cfg.max_line_bytes;
-              }))
+  let handle = Server.handle_line server in
+  let handle_event c ev =
+    (match answer handle ev with
+     | Some reply -> respond c reply
+     | None -> ());
+    if Server.shutting_down server then stopping := true
   in
   let drain_frames c =
     let rec go () =
@@ -195,12 +188,11 @@ let run ?on_ready cfg server =
         | fd, _ ->
           Unix.set_nonblock fd;
           incr next_cid;
-          stats.accepted <- stats.accepted + 1;
           Hashtbl.add conns fd
             {
               fd;
               cid = !next_cid;
-              frame = Frame.create ~max_bytes:cfg.max_line_bytes ();
+              frame = Frame.create ();
               out = Buffer.create 1024;
               out_pos = 0;
               half_closed = false;
@@ -239,7 +231,7 @@ let run ?on_ready cfg server =
             (fun fd c acc ->
               if
                 (not !stopping) && (not c.half_closed)
-                && pending_out c <= cfg.max_pending_out
+                && pending_out c <= max_pending_out
               then fd :: acc
               else acc)
             conns []
@@ -277,5 +269,4 @@ let run ?on_ready cfg server =
   in
   loop ();
   Hashtbl.iter (fun _ c -> close_conn c) (Hashtbl.copy conns);
-  (try Unix.close lsock with Unix.Unix_error _ -> ());
-  stats
+  (try Unix.close lsock with Unix.Unix_error _ -> ())

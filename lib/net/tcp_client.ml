@@ -8,12 +8,6 @@ let connect_fd ?(host = "127.0.0.1") ~port () =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let connect ?host ~port () =
-  let fd = connect_fd ?host ~port () in
-  Mfb_server.Client.of_channels
-    ~input:(Unix.in_channel_of_descr fd)
-    ~output:(Unix.out_channel_of_descr fd)
-
 let wait_port_file ?(timeout = 30.0) path =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec poll () =

@@ -1,18 +1,14 @@
-(** TCP transport for the synthesis-service client.
-
-    Connects to a {!Listener} and returns an ordinary
-    {!Mfb_server.Client.t}, so call sites are transport-agnostic: the
-    same submit/result/stats/shutdown round-trips work in-process, over
-    a spawned child's pipes, or over a socket. *)
-
-val connect : ?host:string -> port:int -> unit -> Mfb_server.Client.t
-(** Blocking connect to [host] (default ["127.0.0.1"]).
-    @raise Unix.Unix_error (e.g. [ECONNREFUSED]) when the listener is
-    not there. *)
+(** Client side of the TCP serving tier: connecting to a {!Listener}
+    and the port-file handshake.  Callers speak the line protocol over
+    the returned socket themselves — [dcsa_synth client] through
+    channels, the load generators and the TCP tests through their own
+    event loops and a {!Frame} per connection. *)
 
 val connect_fd : ?host:string -> port:int -> unit -> Unix.file_descr
-(** The raw connected socket, for callers running their own event loop
-    (the multi-client load generator). *)
+(** Blocking connect to [host] (default ["127.0.0.1"]); returns the
+    connected socket.
+    @raise Unix.Unix_error (e.g. [ECONNREFUSED]) when the listener is
+    not there. *)
 
 val wait_port_file : ?timeout:float -> string -> (int, string) result
 (** Poll a {!Listener} [port_file] until it holds a port number —

@@ -1,65 +1,8 @@
-type transport =
-  | In_process of Server.t
-  | Process of { pid : int; to_srv : out_channel; from_srv : in_channel }
-  | Channels of { to_srv : out_channel; from_srv : in_channel }
+type t = Server.t
 
-type t = { transport : transport }
-
-let in_process server = { transport = In_process server }
-
-let of_channels ~input ~output =
-  { transport = Channels { to_srv = output; from_srv = input } }
-
-let spawn argv =
-  if Array.length argv = 0 then invalid_arg "Client.spawn: empty argv";
-  let srv_in_read, srv_in_write = Unix.pipe ~cloexec:false () in
-  let srv_out_read, srv_out_write = Unix.pipe ~cloexec:false () in
-  let pid =
-    Unix.create_process argv.(0) argv srv_in_read srv_out_write Unix.stderr
-  in
-  Unix.close srv_in_read;
-  Unix.close srv_out_write;
-  {
-    transport =
-      Process
-        {
-          pid;
-          to_srv = Unix.out_channel_of_descr srv_in_write;
-          from_srv = Unix.in_channel_of_descr srv_out_read;
-        };
-  }
-
-let line_call ~to_srv ~from_srv req =
-  match
-    output_string to_srv (Protocol.request_to_line req);
-    output_char to_srv '\n';
-    flush to_srv
-  with
-  | () ->
-    (match In_channel.input_line from_srv with
-     | Some line -> Protocol.response_of_line line
-     | None -> Error "server closed the connection")
-  | exception Sys_error msg -> Error msg
-  | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+let in_process server = server
 
 let call t req =
-  match t.transport with
-  | In_process server ->
-    (match Server.handle_line server (Protocol.request_to_line req) with
-     | Some line -> Protocol.response_of_line line
-     | None -> Error "server produced no response")
-  | Process { to_srv; from_srv; _ } -> line_call ~to_srv ~from_srv req
-  | Channels { to_srv; from_srv } -> line_call ~to_srv ~from_srv req
-
-let shutdown t =
-  let resp = call t Protocol.Shutdown in
-  (match t.transport with
-   | In_process _ -> ()
-   | Process p ->
-     close_out_noerr p.to_srv;
-     close_in_noerr p.from_srv;
-     (try ignore (Unix.waitpid [] p.pid) with Unix.Unix_error _ -> ())
-   | Channels c ->
-     close_out_noerr c.to_srv;
-     close_in_noerr c.from_srv);
-  resp
+  match Server.handle_line t (Protocol.request_to_line req) with
+  | Some line -> Protocol.response_of_line line
+  | None -> Error "server produced no response"

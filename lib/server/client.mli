@@ -1,39 +1,18 @@
-(** Client helper for the synthesis service.
+(** Typed client helper for the synthesis service, used by the load
+    generators and the unit tests.
 
-    Two transports share one call interface:
-
-    - {!in_process} drives a {!Server.t} directly — no pipes, no
-      subprocess — which is what the load generator and the unit tests
-      use;
-    - {!spawn} forks a real [dcsa_synth serve] process and speaks the
-      line protocol over its stdin/stdout, which is what the CI smoke
-      test exercises;
-    - {!of_channels} speaks the line protocol over arbitrary channels —
-      the transport a TCP socket connection wraps
-      ({!Mfb_net.Tcp_client}).
-
-    All are synchronous: {!call} sends one request and blocks for its
-    response. *)
+    {!call} drives a {!Server.t} living in this process through the
+    same {!Server.handle_line} path the stdio and TCP transports use:
+    the request is serialized to its protocol line and the response
+    line parsed back, so every round trip exercises the wire format.
+    Scripts that talk to a separate process speak the line protocol
+    directly ([dcsa_synth client] relays it over TCP). *)
 
 type t
 
 val in_process : Server.t -> t
 (** Wrap a server living in this process. *)
 
-val of_channels : input:in_channel -> output:out_channel -> t
-(** Speak the line protocol over an existing channel pair (e.g. the two
-    faces of a connected socket).  {!shutdown} closes both. *)
-
-val spawn : string array -> t
-(** [spawn [| prog; arg; … |]] starts [prog] with its stdin/stdout piped
-    to this client.  The child is expected to speak the {!Protocol} line
-    protocol. *)
-
 val call : t -> Protocol.request -> (Protocol.response, string) result
-(** Send one request, wait for one response.  [Error _] on EOF, a
-    malformed response line, or a request the in-process server answered
-    with silence. *)
-
-val shutdown : t -> (Protocol.response, string) result
-(** [call] with {!Protocol.Shutdown}; for a spawned child, also closes
-    the pipes and reaps the process. *)
+(** Send one request, return its response.  [Error _] on a malformed
+    response line or a request the server answered with silence. *)

@@ -346,33 +346,4 @@ let response_of_line line =
   let* v = Json.of_string line in
   response_of_json v
 
-(* --- bounded line reading --- *)
-
 let default_max_line_bytes = 1 lsl 20
-
-type line =
-  | Line of string
-  | Oversized of int
-  | Eof
-
-let input_line_bounded ?(max_bytes = default_max_line_bytes) ic =
-  let buf = Buffer.create 256 in
-  (* [over] counts discarded bytes once the cap is hit; the whole
-     oversized line is consumed so the stream resyncs at the newline. *)
-  let rec go over =
-    match In_channel.input_char ic with
-    | None ->
-      if over > 0 then Oversized (Buffer.length buf + over)
-      else if Buffer.length buf = 0 then Eof
-      else Line (Buffer.contents buf)
-    | Some '\n' ->
-      if over > 0 then Oversized (Buffer.length buf + over)
-      else Line (Buffer.contents buf)
-    | Some c ->
-      if Buffer.length buf >= max_bytes then go (over + 1)
-      else begin
-        Buffer.add_char buf c;
-        go over
-      end
-  in
-  go 0

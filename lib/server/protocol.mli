@@ -122,17 +122,3 @@ val response_of_line : string -> (response, string) result
 
 val default_max_line_bytes : int
 (** Cap on an input line, [1 lsl 20] bytes. *)
-
-type line =
-  | Line of string  (** next line, newline stripped; a partial line at
-                        EOF is surfaced here rather than dropped *)
-  | Oversized of int  (** line exceeded the cap; carries its full byte
-                          length.  The whole line has been consumed, so
-                          the stream is resynchronised at the newline
-                          and the caller can answer with a structured
-                          {!Bad_request} and keep serving. *)
-  | Eof
-
-val input_line_bounded : ?max_bytes:int -> in_channel -> line
-(** Read one line of at most [max_bytes] (default
-    {!default_max_line_bytes}) payload bytes. *)

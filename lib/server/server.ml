@@ -1123,49 +1123,3 @@ let handle_line t line =
              { id = None; message = "internal: " ^ Printexc.to_string exn })
     in
     Some (P.response_to_line response)
-
-let serve ?(input = stdin) ?(output = stdout) t =
-  (* A client that closes its read end between request and reply must
-     surface as EPIPE on our write, never as a process-killing SIGPIPE. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  (* true once the reply channel is gone: the dropped reply is logged
-     and the loop stops — the work itself (cache fills, counters, access
-     log) has already happened and is kept. *)
-  let output_dead = ref false in
-  let respond = function
-    | None -> ()
-    | Some resp ->
-      (try
-         output_string output resp;
-         output_char output '\n';
-         flush output
-       with Sys_error _ | Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-         output_dead := true;
-         Printf.eprintf
-           "dcsa-serve: client disconnected; dropped reply (%d bytes)\n%!"
-           (String.length resp + 1))
-  in
-  let rec loop () =
-    if not (t.stopping || !output_dead) then
-      match P.input_line_bounded input with
-      | P.Eof -> ()
-      | P.Line line ->
-        respond (handle_line t line);
-        loop ()
-      | P.Oversized len ->
-        respond
-          (Some
-             (P.response_to_line
-                (P.Bad_request
-                   {
-                     id = None;
-                     message =
-                       Printf.sprintf
-                         "input line too long: %d bytes exceeds the %d-byte \
-                          limit"
-                         len P.default_max_line_bytes;
-                   })));
-        loop ()
-  in
-  loop ()

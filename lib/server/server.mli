@@ -230,10 +230,3 @@ val warm_latency_histogram : t -> Mfb_util.Histogram.t
 
 val near_hit_counts : t -> int * int
 (** [(near hits, warm fallbacks)] so far. *)
-
-val serve : ?input:in_channel -> ?output:out_channel -> t -> unit
-(** Run the line loop (default stdin/stdout) until [shutdown] or EOF,
-    flushing after every response.  Lines are read via
-    {!Protocol.input_line_bounded}: an oversized line is consumed whole,
-    answered with a structured error, and serving continues; a partial
-    final line (no trailing newline) is still handled. *)

@@ -231,6 +231,63 @@ let test_worker_proc_ping_real_worker () =
     (fun () ->
       Alcotest.(check bool) "ping" true (Worker_proc.ping ~timeout:10.0 w))
 
+(* A fake worker that answers with one 1.1 MB line, then "ok". *)
+let oversized_then_ok =
+  [| "sh"; "-c"; "head -c 1100000 /dev/zero | tr '\\000' x; echo; echo ok" |]
+
+let test_worker_proc_oversized_reply () =
+  let w = Worker_proc.spawn ~slot:0 oversized_then_ok in
+  Fun.protect
+    ~finally:(fun () -> Worker_proc.kill w)
+    (fun () ->
+      Alcotest.(check bool)
+        "oversized reply reported once, with its length" true
+        (Worker_proc.recv_line ~timeout:10.0 w = Worker_proc.Oversized 1100000);
+      Alcotest.(check bool)
+        "next line intact" true
+        (Worker_proc.recv_line ~timeout:10.0 w = Worker_proc.Line "ok");
+      Alcotest.(check bool)
+        "then EOF" true
+        (Worker_proc.recv_line ~timeout:10.0 w = Worker_proc.Eof))
+
+let test_worker_oversized_line_like_serve () =
+  (* the worker's stdin and stdio serve run the same loop: an oversized
+     request line gets the same error bytes from both *)
+  let big = String.make 1_100_000 'a' in
+  let reply argv =
+    let w = Worker_proc.spawn ~slot:0 argv in
+    Fun.protect
+      ~finally:(fun () -> Worker_proc.kill w)
+      (fun () ->
+        Alcotest.(check bool) "send" true (Worker_proc.send_line w big = Ok ());
+        match Worker_proc.recv_line ~timeout:30.0 w with
+        | Worker_proc.Line line -> line
+        | _ -> Alcotest.failf "%s: no reply line" argv.(1))
+  in
+  let expected =
+    {|{"ok":false,"op":"error","message":"input line too long: 1100000 bytes exceeds the 1048576-byte limit"}|}
+  in
+  Alcotest.(check string) "worker" expected (reply [| worker_bin; "worker" |]);
+  Alcotest.(check string) "serve" expected (reply [| worker_bin; "serve" |])
+
+let test_worker_closed_reply_pipe_exits_cleanly () =
+  (* a supervisor that closed the reply pipe costs the worker a logged
+     dropped reply and a clean exit, not a SIGPIPE death *)
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process worker_bin [| worker_bin; "worker" |] in_r out_w null
+  in
+  List.iter Unix.close [ in_r; out_w; null; out_r ];
+  let line = P.request_to_line P.Stats ^ "\n" in
+  ignore (Unix.write_substring in_w line 0 (String.length line));
+  Unix.close in_w;
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED code -> Alcotest.(check int) "exit status" 0 code
+  | Unix.WSIGNALED n -> Alcotest.failf "worker killed by signal %d" n
+  | Unix.WSTOPPED _ -> Alcotest.fail "worker stopped"
+
 (* --- supervision --- *)
 
 let test_supervisor_respawns_with_backoff () =
@@ -416,6 +473,31 @@ let test_cluster_total_poisoning_degrades () =
       Alcotest.(check bool) "degraded" true
         (s.Mfb_cluster.Dispatcher.degraded > 0))
 
+let test_cluster_oversized_reply_is_garbage () =
+  (* one oversized reply is one garbage fault; the job then degrades to
+     the in-process bytes *)
+  let jobs = [ resolve "PCR" ] in
+  let cluster =
+    Cluster.create
+      {
+        (Cluster.default_config ~worker_argv:(fun _ -> oversized_then_ok)
+           ~size:1)
+        with
+        timeout = 10.0;
+        max_retries = 0;
+        heartbeat = false;
+      }
+  in
+  Fun.protect
+    ~finally:(fun () -> Cluster.stop cluster)
+    (fun () ->
+      check_payloads "oversized reply = in-process" jobs
+        (Cluster.dispatch cluster jobs);
+      let s = Cluster.stats cluster in
+      Alcotest.(check int) "one garbage fault" 1
+        s.Mfb_cluster.Dispatcher.garbage;
+      Alcotest.(check int) "degraded" 1 s.Mfb_cluster.Dispatcher.degraded)
+
 let test_cluster_stats_json_shape () =
   with_cluster ~size:1 (fun cluster ->
       ignore (Cluster.dispatch cluster [ resolve "PCR" ]);
@@ -541,6 +623,10 @@ let suites =
           test_worker_garbage_fault;
         Alcotest.test_case "slow fault answers normally" `Quick
           test_worker_slow_fault_answers_normally;
+        Alcotest.test_case "oversized line answered like serve" `Quick
+          test_worker_oversized_line_like_serve;
+        Alcotest.test_case "closed reply pipe is a clean exit" `Quick
+          test_worker_closed_reply_pipe_exits_cleanly;
       ] );
     ( "cluster.proc",
       [
@@ -549,6 +635,8 @@ let suites =
         Alcotest.test_case "recv deadline" `Quick test_worker_proc_timeout;
         Alcotest.test_case "ping a real worker" `Quick
           test_worker_proc_ping_real_worker;
+        Alcotest.test_case "oversized reply reported once" `Quick
+          test_worker_proc_oversized_reply;
       ] );
     ( "cluster.supervisor",
       [
@@ -570,6 +658,8 @@ let suites =
           test_cluster_truncate_reads_as_garbage;
         Alcotest.test_case "total poisoning degrades" `Quick
           test_cluster_total_poisoning_degrades;
+        Alcotest.test_case "oversized reply is one garbage fault" `Quick
+          test_cluster_oversized_reply_is_garbage;
         Alcotest.test_case "stats json shape" `Quick
           test_cluster_stats_json_shape;
         Alcotest.test_case "worker spans ship back under a sink" `Quick

@@ -8,6 +8,8 @@ module Job_queue = Mfb_server.Job_queue
 module P = Mfb_server.Protocol
 module Server = Mfb_server.Server
 module Client = Mfb_server.Client
+module Frame = Mfb_net.Frame
+module Listener = Mfb_net.Listener
 module Config = Mfb_core.Config
 module Allocation = Mfb_component.Allocation
 
@@ -569,41 +571,44 @@ let with_input text f =
       Out_channel.with_open_text path (fun oc -> output_string oc text);
       In_channel.with_open_text path f)
 
+(* Frame.read over a channel: the reader behind stdio serve and the
+   fleet worker's stdin *)
+let read_all ?max_bytes ic =
+  let fr = Frame.create ?max_bytes () in
+  let rec go acc =
+    match Frame.read fr ic with
+    | Some ev -> go (ev :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
 let test_bounded_reader_lines () =
   with_input "alpha\nbeta\n" (fun ic ->
-      Alcotest.(check bool) "first" true
-        (P.input_line_bounded ic = P.Line "alpha");
-      Alcotest.(check bool) "second" true
-        (P.input_line_bounded ic = P.Line "beta");
-      Alcotest.(check bool) "eof" true (P.input_line_bounded ic = P.Eof));
+      Alcotest.(check bool) "two lines, then eof" true
+        (read_all ic = [ Frame.Line "alpha"; Frame.Line "beta" ]));
   with_input "" (fun ic ->
-      Alcotest.(check bool) "empty input" true (P.input_line_bounded ic = P.Eof))
+      Alcotest.(check bool) "empty input" true (read_all ic = []))
 
 let test_bounded_reader_partial_line_at_eof () =
   with_input "complete\npartial" (fun ic ->
-      Alcotest.(check bool) "complete" true
-        (P.input_line_bounded ic = P.Line "complete");
-      Alcotest.(check bool) "partial still surfaces" true
-        (P.input_line_bounded ic = P.Line "partial");
-      Alcotest.(check bool) "then eof" true (P.input_line_bounded ic = P.Eof))
+      Alcotest.(check bool) "partial still surfaces, then eof" true
+        (read_all ic = [ Frame.Line "complete"; Frame.Line "partial" ]))
 
 let test_bounded_reader_oversized_resyncs () =
   let big = String.make 100 'x' in
   with_input (big ^ "\nnext\n") (fun ic ->
       (* the oversized line is consumed whole: its length is reported
          and the following line is read intact *)
-      Alcotest.(check bool) "oversized with length" true
-        (P.input_line_bounded ~max_bytes:10 ic = P.Oversized 100);
-      Alcotest.(check bool) "resynced" true
-        (P.input_line_bounded ~max_bytes:10 ic = P.Line "next"));
+      Alcotest.(check bool) "oversized with length, then resynced" true
+        (read_all ~max_bytes:10 ic = [ Frame.Oversized 100; Frame.Line "next" ]));
   (* a line of exactly max_bytes is not oversized *)
   with_input "1234567890\n" (fun ic ->
       Alcotest.(check bool) "at the cap" true
-        (P.input_line_bounded ~max_bytes:10 ic = P.Line "1234567890"));
+        (read_all ~max_bytes:10 ic = [ Frame.Line "1234567890" ]));
   (* oversized at EOF without a trailing newline still reports *)
   with_input (String.make 20 'y') (fun ic ->
       Alcotest.(check bool) "oversized at eof" true
-        (P.input_line_bounded ~max_bytes:10 ic = P.Oversized 20))
+        (read_all ~max_bytes:10 ic = [ Frame.Oversized 20 ]))
 
 let test_serve_answers_oversized_line () =
   (* end to end: an oversized request line gets a structured error and
@@ -620,7 +625,9 @@ let test_serve_answers_oversized_line () =
     (fun () ->
       with_input script (fun input ->
           Out_channel.with_open_text out_path (fun output ->
-              Server.serve ~input ~output s));
+              Listener.run_channels
+                ~stop:(fun () -> Server.shutting_down s)
+                (Server.handle_line s) input output));
       let lines =
         In_channel.with_open_text out_path In_channel.input_all
         |> String.split_on_char '\n'
@@ -630,8 +637,11 @@ let test_serve_answers_oversized_line () =
       | [ err; stats; goodbye ] ->
         (match P.response_of_line err with
          | Ok (P.Bad_request { message; _ }) ->
-           Alcotest.(check bool) "says too long" true
-             (contains ~sub:"too long" message)
+           Alcotest.(check string) "says too long"
+             (Printf.sprintf
+                "input line too long: %d bytes exceeds the 1048576-byte limit"
+                (String.length big))
+             message
          | _ -> Alcotest.fail "expected a bad-request error");
         (match P.response_of_line stats with
          | Ok (P.Stats_reply _) -> ()
@@ -932,6 +942,21 @@ let test_sa_restarts_override_capped () =
   | P.Submitted _ -> ()
   | r -> Alcotest.failf "operator restarts: %s" (P.response_to_line r)
 
+let test_non_finite_tc_rejected_at_submit () =
+  let s = server () in
+  (* 1e400 parses to infinity: refused with a reason, never computed *)
+  Alcotest.(check (option string)) "infinite tc refused at submit"
+    (Some
+       {|{"ok":false,"op":"submit","id":"inf","reason":"Config: tc must be finite"}|})
+    (Server.handle_line s
+       {|{"op":"submit","id":"inf","benchmark":"PCR","tc":1e400}|});
+  match Server.handle s P.Stats with
+  | P.Stats_reply stats ->
+    Alcotest.(check bool) "counted as rejected, nothing computed" true
+      (Json.member "rejected" stats = Some (Json.Int 1)
+      && Json.member "computed" stats = Some (Json.Int 0))
+  | r -> Alcotest.failf "stats: %s" (P.response_to_line r)
+
 let repair_reply = function
   | P.Repair_result { report; warm; _ } -> (Json.to_string report, warm)
   | r -> Alcotest.failf "repair: %s" (P.response_to_line r)
@@ -1152,6 +1177,8 @@ let suites =
           test_latency_histogram_tracks_requests;
         Alcotest.test_case "a failing job fails alone" `Quick
           test_failing_job_fails_alone;
+        Alcotest.test_case "non-finite tc rejected at submit" `Quick
+          test_non_finite_tc_rejected_at_submit;
         Alcotest.test_case "client sa_restarts override capped" `Quick
           test_sa_restarts_override_capped;
         prop_server_responses_invariant;
