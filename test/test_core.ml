@@ -283,6 +283,63 @@ let test_ablation_digests () =
         [ (Suite.pcr (), pcr); (Suite.cpa (), cpa) ])
     pinned
 
+(* The summary digests above cannot see a re-routed path whose totals
+   happen to agree, so this one hashes every routed task in commit order
+   — edge, kind, path, delay, pre-wash and washed cells, floats in exact
+   hex — plus each design's unresolved count, over the seven Table I
+   designs.  With [route_io] the I/O router's dispense and waste runs are
+   pinned too. *)
+let routing_digest variant ~route_io =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (inst : Suite.instance) ->
+      let r =
+        Flow.run ~config:cfg ~variant ~route_io inst.graph inst.allocation
+      in
+      Printf.bprintf buf "%s unresolved=%d\n" r.benchmark
+        r.routing.unresolved;
+      List.iter
+        (fun (t : Mfb_route.Routed.task) ->
+          let kind =
+            match t.kind with
+            | Mfb_route.Routed.Transport -> "T"
+            | Dispense -> "D"
+            | Waste -> "W"
+          in
+          Printf.bprintf buf "%d>%d %s delay=%h wash=%h/%d"
+            (fst t.transport.edge) (snd t.transport.edge) kind t.delay
+            t.pre_wash t.washed_cells;
+          List.iter (fun (x, y) -> Printf.bprintf buf " %d,%d" x y) t.path;
+          Buffer.add_char buf '\n')
+        r.routing.tasks)
+    (Suite.all ());
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_routing_digests () =
+  List.iter
+    (fun (variant, plain, io) ->
+      List.iter
+        (fun (route_io, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s route_io=%b" (Flow.name variant) route_io)
+            expected
+            (routing_digest variant ~route_io))
+        [ (false, plain); (true, io) ])
+    [
+      ( `Ours,
+        "c1b7b3563a0b121ade6f77c7eaf8dd26",
+        "a835b5a353e1a1fc757dfadb776c1b88" );
+      ( `Ba,
+        "4b8d0ef13e783e5b966a9283f183962b",
+        "f8c9970853e727890e9d23c3a8c2d110" );
+      ( `No_weights,
+        "48f0842d465898eb6792db85ba9d8a36",
+        "309dc8db9e8efa74c492e076321d8755" );
+      ( `Negotiated,
+        "bbf1d4d15420e724d51c8ec6216d9b27",
+        "0259d51aeb955f56164a9ef59711b210" );
+    ]
+
 let test_flow_exact_truncation_surfaces () =
   (* A starved fuel budget must still produce a legal schedule (the
      heuristic incumbent), flag the truncation in the JSON result, and
@@ -664,6 +721,7 @@ let suites =
         Alcotest.test_case "flow deterministic" `Quick test_flow_deterministic;
         Alcotest.test_case "ablations run" `Quick test_ablations_run;
         Alcotest.test_case "ablation digests" `Quick test_ablation_digests;
+        Alcotest.test_case "routing digests" `Quick test_routing_digests;
         Alcotest.test_case "shared stages compose" `Quick
           test_shared_stages_compose;
         Alcotest.test_case "exact truncation surfaces" `Quick

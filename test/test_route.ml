@@ -698,6 +698,25 @@ let test_repair_yield_bounds () =
          Alcotest.(check int) "perfect yield" y.cells_tested y.survived))
     [ 0; 1 ]
 
+(* The exact single-defect yield of each Table I paper-flow design, as
+   EXPERIMENTS.md quotes it: (survived, cells tested) in suite order. *)
+let test_repair_yield_pinned () =
+  let cfg = Mfb_core.Config.default in
+  let yields =
+    List.map
+      (fun (inst : Mfb_core.Suite.instance) ->
+        let r = Mfb_core.Flow.run ~config:cfg inst.graph inst.allocation in
+        let y =
+          Mfb_route.Repair.single_defect_yield ~we:cfg.we ~tc:cfg.tc r.chip
+            r.schedule r.routing
+        in
+        (y.survived, y.cells_tested))
+      (Mfb_core.Suite.all ())
+  in
+  Alcotest.(check (list (pair int int))) "survived, cells tested"
+    [ (7, 7); (6, 6); (50, 52); (19, 31); (56, 76); (45, 103); (100, 179) ]
+    yields
+
 (* --- Determinism of the full routing stage --- *)
 
 let test_router_deterministic () =
@@ -972,6 +991,7 @@ let suites =
         Alcotest.test_case "unoccupied cell is a no-op" `Quick
           test_repair_unoccupied_cell_is_noop;
         Alcotest.test_case "yield bounds" `Quick test_repair_yield_bounds;
+        Alcotest.test_case "yield pinned" `Quick test_repair_yield_pinned;
       ] );
     ( "route.negotiated",
       [
