@@ -5,8 +5,7 @@ module Net = Mfb_place.Net
 module Energy = Mfb_place.Energy
 module Routed = Mfb_route.Routed
 module Rgrid = Mfb_route.Rgrid
-module Astar = Mfb_route.Astar
-module Io_router = Mfb_route.Io_router
+module Router = Mfb_route.Router
 module Telemetry = Mfb_util.Telemetry
 module Json = Mfb_util.Json
 
@@ -38,13 +37,6 @@ type outcome = {
   chip : Chip.t;
   routing : Routed.result;
 }
-
-(* Postponement ladder shared with [Router.delay_candidates] (the 0 rung
-   is the in-window attempt); the settle fallback is accepted up to this
-   budget so a "repair" cannot silently degenerate into an arbitrarily
-   late schedule. *)
-let delay_candidates = [ 0.5; 1.0; 1.5; 2.0; 3.0; 4.0; 6.0; 8.0 ]
-let delay_budget = 16.
 
 (* Split raw targets into channel-cell defects and dead components,
    lifting footprint cells to their owning component (a defect under a
@@ -160,80 +152,21 @@ let rebind ~config ~tc chip sched ~dead =
 
 (* --- Re-routing (rungs 1, 2 and the fallback) --- *)
 
-type routed_repair =
-  | In_window of Routed.task
-  | Delayed of Routed.task
-  | Unroutable
-
-let endpoints grid (task : Routed.task) (tr : Types.transport) =
-  match task.kind with
-  | Routed.Transport -> (Rgrid.ports grid tr.src, Rgrid.ports grid tr.dst)
-  | Routed.Dispense -> (Io_router.border_cells grid, Rgrid.ports grid tr.dst)
-  | Routed.Waste -> (Rgrid.ports grid tr.src, Io_router.border_cells grid)
-
-(* Re-route one ripped-up task on the defect-masked grid: first in its
-   original window (rung 1), then with the postponement ladder and the
-   settle fallback (rung 2).  Commits on success. *)
-let route_one grid ~tc ~is_defect (task : Routed.task) (tr : Types.transport)
-    =
-  let srcs, dsts = endpoints grid task tr in
-  let field_cache = Hashtbl.create 4 in
-  let attempt delay =
-    let usable xy =
-      (not (is_defect xy))
-      && Routed.usable grid ~tc tr ~delay ~src_ports:srcs xy
-    in
-    Astar.search_multi ~field_cache grid ~srcs ~dsts ~usable
-      ~use_weights:true
-  in
-  let commit path delay =
-    let t =
-      { task with transport = tr; path; delay; pre_wash = 0.;
-        washed_cells = 0 }
-    in
-    let pre_wash, washed_cells = Routed.measure_wash grid ~tc t in
-    let t = { t with pre_wash; washed_cells } in
-    Routed.commit grid ~tc t;
-    t
-  in
-  match attempt task.delay with
-  | Some path -> In_window (commit path task.delay)
-  | None ->
-    let later =
-      List.find_map
-        (fun d ->
-          if d > task.delay then
-            match attempt d with Some p -> Some (p, d) | None -> None
-          else None)
-        delay_candidates
-    in
-    (match later with
-     | Some (path, d) -> Delayed (commit path d)
-     | None ->
-       (* Spatially avoid the defects, then postpone until the whole
-          path settles conflict-free — the router's own fallback, with
-          the defect mask added and the delay budget enforced. *)
-       let usable xy = (not (Rgrid.blocked grid xy)) && not (is_defect xy) in
-       (match
-          Astar.search_multi ~field_cache grid ~srcs ~dsts ~usable
-            ~use_weights:false
-        with
-        | None -> Unroutable
-        | Some path ->
-          (match Routed.settle_delay grid ~tc tr ~src_ports:srcs path with
-           | Some d when d <= delay_budget ->
-             Delayed (commit path (Float.max d task.delay))
-           | Some _ | None -> Unroutable)))
-
-(* Route [pairs] (original task, remapped transport) in order on [grid];
-   returns committed tasks in reverse commit order plus counters. *)
+(* Route [pairs] (original task, remapped transport) in order on [grid]
+   with the router's [First_fit] ladder: the task's own delay first
+   (rung 1), then later ones (rung 2).  Returns committed tasks paired
+   with their original delays in reverse commit order, plus the
+   (in-window, delayed, failed) counters. *)
 let route_all grid ~tc ~is_defect pairs =
   List.fold_left
-    (fun (acc, inw, dly, failed) (task, tr) ->
-      match route_one grid ~tc ~is_defect task tr with
-      | In_window t -> ((t, task.Routed.delay) :: acc, inw + 1, dly, failed)
-      | Delayed t -> ((t, task.Routed.delay) :: acc, inw, dly + 1, failed)
-      | Unroutable -> (acc, inw, dly, failed + 1))
+    (fun (acc, inw, dly, failed) ((task : Routed.task), tr) ->
+      match
+        Router.route_one ~policy:Router.First_fit ~is_defect ~kind:task.kind
+          ~delay:task.delay grid ~tc tr
+      with
+      | Router.In_window t -> ((t, task.delay) :: acc, inw + 1, dly, failed)
+      | Delayed t -> ((t, task.delay) :: acc, inw, dly + 1, failed)
+      | Unresolved _ | Unroutable -> (acc, inw, dly, failed + 1))
     ([], 0, 0, 0) pairs
 
 let repair ~(config : Mfb_core.Config.t) (result : Mfb_core.Result.t)

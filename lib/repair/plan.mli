@@ -13,7 +13,10 @@
       candidates above the original delay, then the shortest
       obstacle-avoiding path settled via [required_delay], accepted up
       to a fixed delay budget; extra delays are pushed back through the
-      schedule by the cold flow's own stage ({!Mfb_core.Flow.retime});
+      schedule by the cold flow's own stage ({!Mfb_core.Flow.retime}).
+      Both rungs are the cold router's own delay ladder,
+      {!Mfb_route.Router.route_one} under its [First_fit] policy, with
+      the defect cells masked;
     + {e re-bind} — a dead component's operations move to the
       best same-kind spare, ranked by the net-adjacency index
       ([Energy.incident_total]) and accepted only when the remapped
@@ -67,42 +70,6 @@ type outcome = {
           tasks first, then repairs — or original order after the
           fallback), which is the order {!verify} replays *)
 }
-
-(** {2 Re-routing primitives}
-
-    The two lower rungs of the ladder, exposed so other warm-start
-    engines (notably {!Warm}) can re-route individual invalidated tasks
-    on a grid they manage themselves.  Both commit successful routes
-    onto the given grid. *)
-
-type routed_repair =
-  | In_window of Mfb_route.Routed.task  (** kept the original window *)
-  | Delayed of Mfb_route.Routed.task    (** needed a bounded extra delay *)
-  | Unroutable
-
-val route_one :
-  Mfb_route.Rgrid.t ->
-  tc:float ->
-  is_defect:(int * int -> bool) ->
-  Mfb_route.Routed.task ->
-  Mfb_schedule.Types.transport ->
-  routed_repair
-(** Re-route one ripped-up task towards [transport] on the (possibly
-    defect-masked) grid: first within the task's original postponement,
-    then up the bounded delay ladder, finally the shortest
-    obstacle-avoiding path settled conflict-free up to the delay
-    budget.  Deterministic; commits on success. *)
-
-val route_all :
-  Mfb_route.Rgrid.t ->
-  tc:float ->
-  is_defect:(int * int -> bool) ->
-  (Mfb_route.Routed.task * Mfb_schedule.Types.transport) list ->
-  (Mfb_route.Routed.task * float) list * int * int * int
-(** [route_all grid ~tc ~is_defect pairs] routes each (task, remapped
-    transport) pair in order; returns the committed tasks paired with
-    their {e original} delays in reverse commit order, plus the
-    (in-window, delayed, failed) counters. *)
 
 val repair :
   config:Mfb_core.Config.t ->

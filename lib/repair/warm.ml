@@ -6,8 +6,9 @@
    and routing is cheap.  So a warm start re-runs the cold flow's own
    schedule stage ([Flow.schedule]), keeps the cached chip verbatim, and
    re-routes on it — replaying every cached task whose transport the
-   edit left intact and sending the invalidated rest through the repair
-   ladder ({!Plan.route_one}).
+   edit left intact and sending the invalidated rest through the
+   router's delay ladder under the policy repair uses
+   ({!Mfb_route.Router.route_one} [First_fit]).
 
    The quality gate is sound without ever running the cold flow: the
    warm schedule equals the cold pre-routing schedule (same
@@ -22,6 +23,7 @@ module Flow = Mfb_core.Flow
 module Chip = Mfb_place.Chip
 module Routed = Mfb_route.Routed
 module Rgrid = Mfb_route.Rgrid
+module Router = Mfb_route.Router
 module Telemetry = Mfb_util.Telemetry
 
 type report = {
@@ -31,8 +33,6 @@ type report = {
   makespan_lb : float;     (* pre-routing makespan = cold lower bound *)
   makespan : float;        (* warm result makespan *)
 }
-
-let no_defect (_ : int * int) = false
 
 exception Cold of string
 
@@ -82,49 +82,33 @@ let synthesize ~(config : Mfb_core.Config.t)
           Rgrid.conflict_free grid cell iv t.transport.Types.fluid)
         (Routed.occupancy ~tc t)
     in
-    let fresh_task tr =
-      { Routed.transport = tr; kind = Routed.Transport; path = [ (0, 0) ];
-        delay = 0.; pre_wash = 0.; washed_cells = 0 }
-    in
     let reroute tr (inw, dly) =
-      match Plan.route_one grid ~tc ~is_defect:no_defect (fresh_task tr) tr with
-      | Plan.In_window t -> (t, (inw + 1, dly))
-      | Plan.Delayed t -> (t, (inw, dly + 1))
-      | Plan.Unroutable ->
+      match Router.route_one ~policy:Router.First_fit grid ~tc tr with
+      | Router.In_window t -> (t, (inw + 1, dly))
+      | Delayed t -> (t, (inw, dly + 1))
+      | Unresolved _ | Unroutable ->
         raise
           (Cold
              (Printf.sprintf "transport (%d,%d) unroutable on cached chip"
                 (fst tr.Types.edge) (snd tr.Types.edge)))
     in
-    (* Commit in the cold router's order (removal, then departure) so a
-       distance-0 replay reproduces the cached grid evolution — and
-       therefore the cached wash measures and summary — byte for byte. *)
-    let ordered =
-      List.sort
-        (fun (a : Types.transport) b ->
-          let c = Float.compare a.removal b.removal in
-          if c <> 0 then c else Float.compare a.depart b.depart)
-        sched.Types.transports
-    in
+    (* Commit in the cold router's order so a distance-0 replay
+       reproduces the cached grid evolution — and therefore the cached
+       wash measures and summary — byte for byte. *)
     let rev_tasks, reused, (rerouted, rerouted_delayed) =
       List.fold_left
         (fun (acc, reused, ladder) (tr : Types.transport) ->
           match take tr with
-          | Some t0 ->
-            let cand = { t0 with pre_wash = 0.; washed_cells = 0 } in
-            if replayable cand then begin
-              let pre_wash, washed_cells = Routed.measure_wash grid ~tc cand in
-              let t = { cand with pre_wash; washed_cells } in
-              Routed.commit grid ~tc t;
-              (t :: acc, reused + 1, ladder)
-            end
-            else
-              let t, ladder = reroute tr ladder in
-              (t :: acc, reused, ladder)
-          | None ->
+          | Some (t0 : Routed.task) when replayable t0 ->
+            let t =
+              Routed.commit_path grid ~tc t0.kind t0.transport ~path:t0.path
+                ~delay:t0.delay
+            in
+            (t :: acc, reused + 1, ladder)
+          | Some _ | None ->
             let t, ladder = reroute tr ladder in
             (t :: acc, reused, ladder))
-        ([], 0, (0, 0)) ordered
+        ([], 0, (0, 0)) (Routed.start_order sched)
     in
     let routing = Routed.finalize grid rev_tasks ~unresolved:0 in
     (* Postponements feed back into the schedule through the cold

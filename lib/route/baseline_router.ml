@@ -1,12 +1,4 @@
-module Interval = Mfb_util.Interval
 module Types = Mfb_schedule.Types
-
-let sorted_transports (sched : Types.t) =
-  List.sort
-    (fun (a : Types.transport) b ->
-      let c = Float.compare a.removal b.removal in
-      if c <> 0 then c else Float.compare a.depart b.depart)
-    sched.transports
 
 let correct_task grid ~tc (tr : Types.transport) initial_path =
   let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
@@ -29,7 +21,7 @@ let correct_task grid ~tc (tr : Types.transport) initial_path =
 let route ?(route_io = false) ~we ~tc chip (sched : Types.t) =
   if tc <= 0. then invalid_arg "Baseline_router.route: tc must be positive";
   let grid = Rgrid.create ~we chip in
-  let transports = sorted_transports sched in
+  let transports = Routed.start_order sched in
   (* Construction: conflict-oblivious shortest paths. *)
   let initial =
     List.map
@@ -52,18 +44,11 @@ let route ?(route_io = false) ~we ~tc chip (sched : Types.t) =
       (fun (tasks, unresolved) (tr, initial_path) ->
         let path, delay, failed = correct_task grid ~tc tr initial_path in
         let task =
-          { Routed.transport = tr; kind = Routed.Transport; path; delay;
-            pre_wash = 0.; washed_cells = 0 }
+          Routed.commit_path ~weight_update:false grid ~tc Routed.Transport tr
+            ~path ~delay
         in
-        let pre_wash, washed_cells = Routed.measure_wash grid ~tc task in
-        let task = { task with pre_wash; washed_cells } in
-        Routed.commit ~weight_update:false grid ~tc task;
         (task :: tasks, if failed then unresolved + 1 else unresolved))
       ([], 0) initial
   in
-  let io, io_unresolved =
-    if route_io then Io_router.route_all ~weight_update:false grid ~tc sched
-    else ([], 0)
-  in
-  Routed.finalize grid (List.rev_append io tasks)
-    ~unresolved:(unresolved + io_unresolved)
+  Io_router.finalize ~weight_update:false ~route_io grid ~tc sched tasks
+    ~unresolved

@@ -55,12 +55,3 @@ let analyse ~tc (routing : Routed.result) =
     mean_absolute_error;
     pressure_margin = float_of_int longest /. float_of_int reference_cells;
   }
-
-let pp_summary ppf t =
-  Format.fprintf ppf
-    "%d transports: mean |error| %.0f%%, worst underestimate +%.0f%%, \
-     pressure margin %.2fx"
-    (List.length t.tasks)
-    (100. *. t.mean_absolute_error)
-    (100. *. t.worst_underestimate)
-    t.pressure_margin

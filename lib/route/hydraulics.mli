@@ -38,5 +38,3 @@ type t = {
 }
 
 val analyse : tc:float -> Routed.result -> t
-
-val pp_summary : Format.formatter -> t -> unit

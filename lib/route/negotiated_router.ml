@@ -5,13 +5,6 @@ module Types = Mfb_schedule.Types
 let present_penalty = 4.
 let history_increment = 2.
 
-let sorted_transports (sched : Types.t) =
-  List.sort
-    (fun (a : Types.transport) b ->
-      let c = Float.compare a.removal b.removal in
-      if c <> 0 then c else Float.compare a.depart b.depart)
-    sched.transports
-
 (* The conservative per-cell windows a task would occupy on any path
    (ignoring the near-source refinement, which depends on the path). *)
 let task_window (tr : Types.transport) =
@@ -22,7 +15,7 @@ let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
   if tc <= 0. then
     invalid_arg "Negotiated_router.route: tc must be positive";
   let scratch () = Rgrid.create ~we chip in
-  let transports = sorted_transports sched in
+  let transports = Routed.start_order sched in
   let n = List.length transports in
   (* Destination ports and the blocked set are fixed across negotiation
      iterations, so every re-route of a task reuses its first
@@ -132,19 +125,11 @@ let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
             | None -> (0., true)
         in
         let task =
-          { Routed.transport = tr; kind = Routed.Transport; path; delay;
-            pre_wash = 0.; washed_cells = 0 }
+          Routed.commit_path ~weight_update grid ~tc Routed.Transport tr ~path
+            ~delay
         in
-        let pre_wash, washed_cells = Routed.measure_wash grid ~tc task in
-        let task = { task with pre_wash; washed_cells } in
-        Routed.commit ~weight_update grid ~tc task;
         (task :: tasks, if failed then unresolved + 1 else unresolved))
       ([], 0)
       (List.mapi (fun i tr -> (i, tr)) transports)
   in
-  let io, io_unresolved =
-    if route_io then Io_router.route_all ~weight_update grid ~tc sched
-    else ([], 0)
-  in
-  Routed.finalize grid (List.rev_append io tasks)
-    ~unresolved:(unresolved + io_unresolved)
+  Io_router.finalize ~weight_update ~route_io grid ~tc sched tasks ~unresolved

@@ -53,23 +53,9 @@ let inject_channel ~we ~tc chip (sched : Types.t) (routing : Routed.result)
   let repaired =
     List.filter
       (fun (task : Routed.task) ->
-        let tr = task.transport in
-        let srcs, dsts =
-          match task.kind with
-          | Routed.Transport ->
-            (Rgrid.ports grid tr.src, Rgrid.ports grid tr.dst)
-          | Routed.Dispense ->
-            (Io_router.border_cells grid, Rgrid.ports grid tr.dst)
-          | Routed.Waste ->
-            (Rgrid.ports grid tr.src, Io_router.border_cells grid)
-        in
-        let usable xy =
-          xy <> defect
-          && Routed.usable grid ~tc tr ~delay:task.delay
-               ~src_ports:(Rgrid.ports grid tr.src) xy
-        in
         match
-          Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights:true
+          Router.attempt ~is_defect:(( = ) defect) grid ~tc task.kind
+            task.transport ~delay:task.delay
         with
         | Some path ->
           Routed.commit grid ~tc { task with path };
