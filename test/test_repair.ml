@@ -194,6 +194,38 @@ let test_footprint_cell_lifts_to_component () =
      | None -> Alcotest.fail "blocked cell without owner")
   | _ -> Alcotest.fail "footprint cell not lifted to a component fault"
 
+(* Every seeded defect class on every Table I design under the paper's
+   parameters: each component dead, each used channel cell dead, and 20
+   radius-2 debris clusters.  A surviving repair must pass the full
+   audit.  Synthetic2's cluster seed 8 needs a settle fallback below the
+   task's own delay, which must be re-checked at that delay. *)
+let test_table1_sweep_legal () =
+  let config = Config.default in
+  let repairs = ref 0 and illegal = ref [] in
+  List.iter
+    (fun (inst : Suite.instance) ->
+      let r = Flow.run ~config inst.graph inst.allocation in
+      List.iter
+        (fun defects ->
+          incr repairs;
+          let o = Plan.repair ~config r ~defects in
+          if o.report.survived && Plan.verify ~config ~defects o <> [] then
+            illegal :=
+              Printf.sprintf "%s: %s" r.benchmark
+                (String.concat " "
+                   (List.map Defect.target_to_string defects))
+              :: !illegal)
+        (List.init (Array.length r.chip.components) (fun c ->
+             [ Defect.Component c ])
+        @ List.map
+            (fun xy -> [ Defect.Cell xy ])
+            (Mfb_route.Rgrid.used_cells r.routing.grid)
+        @ List.init 20 (fun seed ->
+              Defect.targets (Defect.clustered ~seed ~radius:2 r.chip))))
+    (Suite.all ());
+  Alcotest.(check int) "repairs" 666 !repairs;
+  Alcotest.(check (list string)) "illegal survivors" [] (List.rev !illegal)
+
 (* --- Determinism and telemetry --------------------------------------- *)
 
 let report_bytes o = Json.to_string (Plan.report_to_json o.Plan.report)
@@ -285,6 +317,8 @@ let suites =
           test_component_fault_rebinds;
         Alcotest.test_case "footprint cell lifts to component fault" `Quick
           test_footprint_cell_lifts_to_component;
+        Alcotest.test_case "Table I sweep legal" `Quick
+          test_table1_sweep_legal;
         repair_oracle;
       ] );
     ( "repair.determinism",
