@@ -14,10 +14,11 @@
     + {b routing} replays every cached task whose transport the edit
       left byte-identical (window, endpoints, fluid), re-validating its
       occupancy against the rebuilt grid, and sends invalidated or new
-      transports through the repair ladder ({!Plan.route_one}:
-      in-window, bounded delay, settle fallback); extra postponements
-      retime the schedule through {!Mfb_core.Flow.retime}, as the cold
-      flow does.
+      transports through the cold router's delay ladder under repair's
+      policy ({!Mfb_route.Router.route_one} with [First_fit]: in-window,
+      a higher delay candidate, then the settle fallback within 16 s);
+      extra postponements retime the schedule through
+      {!Mfb_core.Flow.retime}, as the cold flow does.
 
     {2 Proof obligations}
 
