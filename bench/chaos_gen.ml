@@ -78,12 +78,11 @@ let submit_of ~id ~bench ~job_seed =
    round-trip.  Returns (elapsed_s, latencies_ms, payloads, cluster
    counters if any). *)
 let replay ~cluster =
-  let dispatch, extra_stats =
+  let dispatch, extra_series =
     match cluster with
     | None -> (None, None)
     | Some c ->
-      ( Some (Cluster.dispatch c),
-        Some (fun () -> [ ("cluster", Cluster.stats_json c) ]) )
+      (Some (Cluster.dispatch c), Some (fun () -> Cluster.series c))
   in
   let server =
     Server.create
@@ -91,7 +90,7 @@ let replay ~cluster =
         Server.default_config with
         queue_depth = max 64 requests;
         dispatch;
-        extra_stats;
+        extra_series;
       }
   in
   let client = Client.in_process server in
@@ -120,11 +119,7 @@ let replay ~cluster =
       latencies.(i) <- (Unix.gettimeofday () -. r0) *. 1e3)
     script;
   let elapsed = Unix.gettimeofday () -. t0 in
-  let counters =
-    match cluster with
-    | None -> None
-    | Some c -> Some (Cluster.stats_json c)
-  in
+  let counters = Json.member "cluster" (Server.stats_json server) in
   (elapsed, latencies, List.rev !payloads, counters)
 
 let with_fleet ~plan f =

@@ -113,48 +113,51 @@ let dispatch t jobs =
 let stats t = t.dstats
 let respawns t = Supervisor.respawns t.sup
 
-let slots_json t =
-  Json.List
-    (List.init t.cfg.size (fun i ->
-         let respawns, streak, ok, last = Supervisor.slot_health t.sup i in
-         Json.Obj
-           [
-             ("slot", Json.Int i);
-             ("respawns", Json.Int respawns);
-             ("consecutive_failures", Json.Int streak);
-             ("ok", Json.Int ok);
-             ("last_outcome", Json.String last);
-             ("reply_bytes", Histogram.snapshot_json t.slot_bytes.(i));
-           ]))
-
-let stats_json t =
+(* The fleet's stats rows under ["cluster"]: JSON-only counters the
+   Goodbye totals read back, a per-slot health table, and one
+   dcsa_fleet_reply_bytes series per slot, faceted by an escaped slot
+   label so scrapers can aggregate across the fleet. *)
+let series t =
   let d = t.dstats in
-  Json.Obj
-    [
-      ("fleet", Json.Int t.cfg.size);
-      ("respawns", Json.Int (Supervisor.respawns t.sup));
-      ("spawn_failures", Json.Int (Supervisor.spawn_failures t.sup));
-      ("dispatched", Json.Int d.Dispatcher.dispatched);
-      ("retries", Json.Int d.Dispatcher.retries);
-      ("degraded", Json.Int d.Dispatcher.degraded);
-      ("crashes", Json.Int d.Dispatcher.crashes);
-      ("timeouts", Json.Int d.Dispatcher.timeouts);
-      ("garbage", Json.Int d.Dispatcher.garbage);
-      ("heartbeat_failures", Json.Int d.Dispatcher.heartbeat_failures);
-      ("routed", Json.Int d.Dispatcher.routed);
-      ("slots", slots_json t);
-    ]
-
-(* Per-slot reply-size series for the server's Prometheus exposition:
-   one metric name, one escaped slot label value per fleet member, so
-   scrapers can aggregate across the fleet or facet by slot. *)
-let prometheus t buf =
-  Array.iteri
-    (fun i h ->
-      Histogram.prometheus ~help:"reply line bytes from fleet slots"
-        ~labels:[ ("slot", string_of_int i) ]
-        ~header:(i = 0) ~name:"dcsa_fleet_reply_bytes" buf h)
-    t.slot_bytes
+  let row key value =
+    { Server.path = [ "cluster"; key ]; name = ""; labels = []; help = "";
+      value }
+  in
+  let slot i =
+    let respawns, streak, ok, last = Supervisor.slot_health t.sup i in
+    Json.Obj
+      [
+        ("slot", Json.Int i);
+        ("respawns", Json.Int respawns);
+        ("consecutive_failures", Json.Int streak);
+        ("ok", Json.Int ok);
+        ("last_outcome", Json.String last);
+        ("reply_bytes", Histogram.snapshot_json t.slot_bytes.(i));
+      ]
+  in
+  row "fleet" (Server.Info (Json.Int t.cfg.size))
+  :: List.map
+       (fun (key, n) -> row key (Server.Counter n))
+       [
+         ("respawns", Supervisor.respawns t.sup);
+         ("spawn_failures", Supervisor.spawn_failures t.sup);
+         ("dispatched", d.Dispatcher.dispatched);
+         ("retries", d.Dispatcher.retries);
+         ("degraded", d.Dispatcher.degraded);
+         ("crashes", d.Dispatcher.crashes);
+         ("timeouts", d.Dispatcher.timeouts);
+         ("garbage", d.Dispatcher.garbage);
+         ("heartbeat_failures", d.Dispatcher.heartbeat_failures);
+         ("routed", d.Dispatcher.routed);
+       ]
+  @ row "slots" (Server.Info (Json.List (List.init t.cfg.size slot)))
+    :: List.mapi
+         (fun i h ->
+           { Server.path = []; name = "dcsa_fleet_reply_bytes";
+             labels = [ ("slot", string_of_int i) ];
+             help = "reply line bytes from fleet slots";
+             value = Server.Histogram h })
+         (Array.to_list t.slot_bytes)
 
 let stop t =
   if not t.stopped then begin

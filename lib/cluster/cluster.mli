@@ -12,8 +12,7 @@
         Server.create
           { Server.default_config with
             dispatch = Some (Cluster.dispatch cluster);
-            extra_stats =
-              Some (fun () -> [ ("cluster", Cluster.stats_json cluster) ]);
+            extra_series = Some (fun () -> Cluster.series cluster);
           }
     ]}
 
@@ -65,17 +64,14 @@ val dispatch :
 val stats : t -> Dispatcher.stats
 val respawns : t -> int
 
-val stats_json : t -> Mfb_util.Json.t
-(** Fleet size plus respawn / spawn-failure / retry / degradation /
-    crash / timeout / garbage / heartbeat / routed counters, and a
-    ["slots"] array of per-slot health: respawns, consecutive failures,
-    dispatch successes, last outcome, and a reply-size histogram
-    snapshot. *)
-
-val prometheus : t -> Buffer.t -> unit
-(** Append the per-slot reply-size histograms to a Prometheus text
-    exposition: one [dcsa_fleet_reply_bytes] metric with a [slot] label
-    per fleet member — wire this as the server's [extra_prometheus]. *)
+val series : t -> Mfb_server.Server.series list
+(** The fleet's stats rows, for the server's [extra_series]: under
+    ["cluster"], the fleet size, the respawn / spawn-failure / dispatch
+    / retry / degradation / crash / timeout / garbage / heartbeat /
+    routed counters and a ["slots"] table of per-slot health (respawns,
+    consecutive failures, dispatch successes, last outcome and a
+    reply-size histogram snapshot); then one [dcsa_fleet_reply_bytes]
+    Prometheus histogram with a [slot] label per fleet member. *)
 
 val stop : t -> unit
 (** Kill and reap every worker.  Idempotent. *)

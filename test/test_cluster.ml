@@ -501,8 +501,13 @@ let test_cluster_oversized_reply_is_garbage () =
 let test_cluster_stats_json_shape () =
   with_cluster ~size:1 (fun cluster ->
       ignore (Cluster.dispatch cluster [ resolve "PCR" ]);
-      match Cluster.stats_json cluster with
-      | Json.Obj fields ->
+      let server =
+        Server.create
+          { Server.default_config with
+            extra_series = Some (fun () -> Cluster.series cluster) }
+      in
+      match Json.member "cluster" (Server.stats_json server) with
+      | Some (Json.Obj fields) ->
         List.iter
           (fun k ->
             Alcotest.(check bool) ("has " ^ k) true (List.mem_assoc k fields))
@@ -519,7 +524,7 @@ let test_cluster_stats_json_shape () =
            Alcotest.(check bool) "slot 0 answered" true
              (List.assoc "last_outcome" slot = Json.String "ok")
          | _ -> Alcotest.fail "slots must be a one-element list")
-      | _ -> Alcotest.fail "stats_json must be an object")
+      | _ -> Alcotest.fail "the cluster section must be an object")
 
 let test_cluster_ships_worker_spans () =
   (* With a sink installed on the supervisor side, every dispatched job
