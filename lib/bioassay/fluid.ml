@@ -42,8 +42,6 @@ let of_palette i =
   let n = Array.length palette in
   palette.(((i mod n) + n) mod n)
 
-let compare_diffusion a b = Float.compare a.diffusion b.diffusion
-
 let equal a b =
   String.equal a.name b.name && a.diffusion = b.diffusion
   && a.wash_override = b.wash_override

@@ -41,9 +41,6 @@ val palette : t array
 val of_palette : int -> t
 (** [of_palette i] is [palette.(i mod Array.length palette)]. *)
 
-val compare_diffusion : t -> t -> int
-(** Ascending by diffusion coefficient (hardest-to-wash first). *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -14,12 +14,6 @@ let lookup p ~worker ~job =
     (fun e -> if e.worker = worker && e.job = job then Some e.kind else None)
     p
 
-let kinds p =
-  List.fold_left
-    (fun acc e -> if List.mem e.kind acc then acc else e.kind :: acc)
-    [] p
-  |> List.rev
-
 let kind_name = function
   | Crash -> "crash"
   | Stall -> "stall"

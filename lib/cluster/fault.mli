@@ -40,10 +40,6 @@ val is_empty : plan -> bool
 val lookup : plan -> worker:int -> job:int -> kind option
 (** First matching entry wins. *)
 
-val kinds : plan -> kind list
-(** Deduplicated constructors present in the plan (for telemetry
-    assertions). *)
-
 val to_json : plan -> Mfb_util.Json.t
 val of_json : Mfb_util.Json.t -> (plan, string) result
 

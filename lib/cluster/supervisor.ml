@@ -39,7 +39,6 @@ let create ~size ?(backoff_cap = 8) argv_of =
   }
 
 let size t = t.size_
-let tick_now t = t.tick_
 let respawns t = t.respawns_
 let spawn_failures t = t.spawn_failures_
 

@@ -23,7 +23,6 @@ val create : size:int -> ?backoff_cap:int -> (int -> string array) -> t
     @raise Invalid_argument if [size < 1]. *)
 
 val size : t -> int
-val tick_now : t -> int
 
 val tick : t -> unit
 (** Advance virtual time one step: reap workers that died on their own

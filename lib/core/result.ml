@@ -74,40 +74,6 @@ let summary_to_json s =
       ("component_wash_time_s", Mfb_util.Json.Float s.s_component_wash_time);
     ]
 
-let summary_of_json v =
-  let module J = Mfb_util.Json in
-  let ( let* ) = Stdlib.Result.bind in
-  let str k =
-    match J.member k v with
-    | Some (J.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" k)
-  in
-  let num k =
-    match J.member k v with
-    | Some (J.Float f) -> Ok f
-    | Some (J.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing numeric field %S" k)
-  in
-  let* s_benchmark = str "benchmark" in
-  let* s_flow = str "flow" in
-  let* s_execution_time = num "execution_time_s" in
-  let* s_utilization = num "utilization" in
-  let* s_channel_length_mm = num "channel_length_mm" in
-  let* s_channel_cache_time = num "channel_cache_time_s" in
-  let* s_channel_wash_time = num "channel_wash_time_s" in
-  let* s_component_wash_time = num "component_wash_time_s" in
-  Ok
-    {
-      s_benchmark;
-      s_flow;
-      s_execution_time;
-      s_utilization;
-      s_channel_length_mm;
-      s_channel_cache_time;
-      s_channel_wash_time;
-      s_component_wash_time;
-    }
-
 let to_json r =
   let summary_fields =
     match summary_to_json (summarize r) with

@@ -62,8 +62,7 @@ val to_json : t -> Mfb_util.Json.t
     The serving layer caches and replays results, so it needs the
     subset of {!t} that is a pure function of the request — everything
     except the timing fields (which vary run to run) and the heavyweight
-    stage outputs.  [summary] round-trips through JSON losslessly:
-    [summary_of_json (summary_to_json s) = Ok s]. *)
+    stage outputs. *)
 
 type summary = {
   s_benchmark : string;
@@ -80,9 +79,5 @@ val summarize : t -> summary
 
 val summary_to_json : summary -> Mfb_util.Json.t
 (** Field names and order match the leading fields of {!to_json}. *)
-
-val summary_of_json : Mfb_util.Json.t -> (summary, string) result
-(** Inverse of {!summary_to_json}; accepts integer-typed numbers for the
-    float fields (the JSON parser types [3] as [Int]). *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -47,7 +47,6 @@ let create ?replicas ~slots () =
   of_slots ?replicas (List.init slots (fun i -> i))
 
 let slots t = t.slots_
-let size t = List.length t.slots_
 
 let remove t slot =
   if not (List.mem slot t.slots_) then

@@ -28,8 +28,6 @@ val of_slots : ?replicas:int -> int list -> t
 val slots : t -> int list
 (** Live slot ids, ascending. *)
 
-val size : t -> int
-
 val remove : t -> int -> t
 (** Ring without the given slot; only that slot's keys remap.
     @raise Invalid_argument when removing the last slot or an id not in

@@ -64,9 +64,6 @@ let swap_t rng (chip : Chip.t) =
         chip.places.(j) <- pj)
   end
 
-let translate rng chip = Option.map snd (translate_t rng chip)
-let rotate rng chip = Option.map snd (rotate_t rng chip)
-let swap rng chip = Option.map snd (swap_t rng chip)
 
 let random_move_touched rng chip =
   match Rng.int rng 6 with

@@ -6,18 +6,11 @@
 
 type undo = unit -> unit
 
-val translate : Mfb_util.Rng.t -> Chip.t -> undo option
-(** Move one random component to a random in-bounds anchor. *)
-
-val rotate : Mfb_util.Rng.t -> Chip.t -> undo option
-(** Toggle the orientation of one random component. *)
-
-val swap : Mfb_util.Rng.t -> Chip.t -> undo option
-(** Exchange the anchors of two random components. *)
-
 val random_move : Mfb_util.Rng.t -> Chip.t -> undo option
-(** One of the three moves, weighted 3:1:2
-    (translate : rotate : swap). *)
+(** One of three moves, weighted 3:1:2: translate (move one random
+    component to a random in-bounds anchor), rotate (toggle the
+    orientation of one random component) or swap (exchange the anchors
+    of two random components). *)
 
 val random_move_touched :
   Mfb_util.Rng.t -> Chip.t -> (int list * undo) option

@@ -7,9 +7,6 @@ type event = { tick : int; target : target }
 
 type plan = event list
 
-let empty = []
-let is_empty p = p = []
-
 let targets p = List.map (fun e -> e.target) p
 
 let upto p ~tick =

@@ -21,9 +21,6 @@ type event = { tick : int; target : target }
 
 type plan = event list
 
-val empty : plan
-val is_empty : plan -> bool
-
 val targets : plan -> target list
 (** All targets in event order (ticks ignored). *)
 

@@ -40,16 +40,14 @@ val graph_fingerprint : Mfb_bioassay.Seq_graph.t -> int64
 (** The relabelling-invariant structural hash of the graph alone
     (exposed for tests: permuting operation ids must not change it). *)
 
-val op_label : Mfb_bioassay.Operation.t -> int64
-(** Intrinsic hash of one operation — kind, duration, output-fluid
-    name/diffusion/wash override — independent of its id. *)
-
 val neighborhood_hashes : Mfb_bioassay.Seq_graph.t -> int64 array
 (** Per-operation radius-1 hashes, indexed by operation id: the op's
-    own {!op_label} mixed with the sorted labels of its parents and of
-    its children.  The {e multiset} of these hashes is invariant to id
-    relabelling; a single-op edit perturbs only the edited op and its
-    direct neighbors — the basis of {!Sim_index} distance. *)
+    own label (a hash of its kind, duration and output-fluid
+    name/diffusion/wash override, independent of its id) mixed with the
+    sorted labels of its parents and of its children.  The {e multiset}
+    of these hashes is invariant to id relabelling; a single-op edit
+    perturbs only the edited op and its direct neighbors — the basis of
+    {!Sim_index} distance. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

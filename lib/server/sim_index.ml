@@ -116,14 +116,12 @@ type 'a t = {
   capacity : int;
   threshold : int;
   mutable entries : 'a entry list;  (* most recently added first *)
-  mutable lookups : int;
-  mutable near : int;
 }
 
 let create ?(capacity = 64) ~threshold () =
   if capacity < 1 then invalid_arg "Sim_index.create: capacity < 1";
   if threshold < 0 then invalid_arg "Sim_index.create: threshold < 0";
-  { capacity; threshold; entries = []; lookups = 0; near = 0 }
+  { capacity; threshold; entries = [] }
 
 let length t = List.length t.entries
 let threshold t = t.threshold
@@ -148,7 +146,6 @@ let add t key fp payload =
    distance class — so an exact re-submission finds exactly the entry
    [Cache_key] would. *)
 let nearest t key fp =
-  t.lookups <- t.lookups + 1;
   let best =
     List.fold_left
       (fun best e ->
@@ -165,10 +162,4 @@ let nearest t key fp =
            | _ -> Some (e, d)))
       None t.entries
   in
-  match best with
-  | None -> None
-  | Some (e, d) ->
-    t.near <- t.near + 1;
-    Some (e.e_key, e.e_payload, d)
-
-let stats t = (t.lookups, t.near)
+  Option.map (fun (e, d) -> (e.e_key, e.e_payload, d)) best

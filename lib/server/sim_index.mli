@@ -88,6 +88,3 @@ val nearest : 'a t -> Cache_key.t -> fp -> (Cache_key.t * 'a * diff) option
     equals [key] always wins its distance class — so when the exact key
     is present, [nearest] returns it with distance 0, agreeing with a
     {!Cache_key} exact hit. *)
-
-val stats : 'a t -> int * int
-(** [(lookups, near-answers)] since creation. *)

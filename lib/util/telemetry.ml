@@ -243,14 +243,6 @@ let subtrack name =
 let on_subtrack st f =
   match st with None -> f () | Some c -> with_collector c f
 
-let complete ?(cat = "span") ?(args = []) ~dur_us name =
-  if active () then
-    match current () with
-    | None -> ()
-    | Some c ->
-      emit c ~cat ~name ~ts_us:(now_us c) ~ph:(Complete dur_us)
-        ~depth:c.depth ~args
-
 (* --- span trees --- *)
 
 type node = {

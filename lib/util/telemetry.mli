@@ -152,15 +152,8 @@ val subtrack : string -> subtrack option
 
 val on_subtrack : subtrack option -> (unit -> 'a) -> 'a
 (** [on_subtrack st f] runs [f] with the subtrack as the current
-    collector, so {!span}/{!instant}/{!complete}/{!emit_node} land on
+    collector, so {!span}/{!instant}/{!emit_node} land on
     the request's track; identity when [st] is [None]. *)
-
-val complete :
-  ?cat:string -> ?args:(string * value) list -> dur_us:float -> string ->
-  unit
-(** Emit a closed span of the given duration at the current time
-    without running code under it — used to graft virtual-duration
-    phases (queue wait, batch compute) onto a request subtrack. *)
 
 (** {1 Span trees}
 
