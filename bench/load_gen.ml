@@ -382,7 +382,7 @@ let run_edits () =
      the cold answer for the same request — the bench holds both payload
      sets, so the warm-start proof obligation is re-checked end to end
      rather than trusted. *)
-  let delta = Server.default_config.Server.warm_delta in
+  let delta = Server.warm_delta in
   let breaches = ref 0 in
   List.iter2
     (fun p q ->
