@@ -1,4 +1,5 @@
-(** Shared list-scheduling engine for the DCSA scheduler and the baseline.
+(** Shared list-scheduling engine for the DCSA scheduler, the baseline and
+    the conventional dedicated-storage architecture.
 
     Implements the priority-driven loop of the paper's Alg. 1 over a
     fluid-residency state machine:
@@ -18,10 +19,26 @@
     qualified component with the earliest availability (the paper's
     baseline BA).  In both modes an operation that happens to land on its
     parent's component with a single unconsumed copy is executed in place,
-    matching the paper's discussion of [5]'s assumption. *)
+    matching the paper's discussion of [5]'s assumption.
+
+    The storage mode decides only where an evicted fluid waits:
+
+    - [`Channels] (DCSA, paper Fig. 1(b)): in a flow channel.  It leaves
+      its component as late as possible, and a later copy of a fluid that
+      has left also waits in a channel from that moment;
+    - [`Unit] (the conventional architecture DCSA replaces, Fig. 1(a)): in
+      a dedicated storage unit behind one entrance port and one exit port,
+      each passing one fluid per [tc].  An evicted fluid leaves its
+      component when the entrance port is next free and is in the unit
+      [tc] later; a consumer's start waits until the exit port can deliver
+      it.  The round trip is one transport whose [removal] is the
+      eviction, and it is the only kind of transport with
+      [removal < depart].  The number of cells in the unit is not
+      modelled. *)
 
 val run :
   ?priorities:float array ->
+  ?storage:[ `Channels | `Unit ] ->
   case1:bool ->
   tc:float ->
   Mfb_bioassay.Seq_graph.t ->
@@ -31,7 +48,7 @@ val run :
     components of [alloc].  [priorities] overrides the longest-path
     priority values (one per operation) — the hook used by the
     multi-start scheduler; it affects only the dispatch order, never
-    legality.
+    legality.  [storage] defaults to [`Channels].
 
     @raise Invalid_argument if [tc <= 0], some operation kind of [g] has
     no allocated component, or [priorities] has the wrong length. *)
