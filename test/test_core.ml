@@ -570,32 +570,6 @@ let prop_whole_flow_baseline_invariants =
       Check.is_legal ~tc:fast_cfg.tc r.schedule
       && Mfb_route.Drc.is_clean r.chip r.routing)
 
-(* --- Area accounting --- *)
-
-let test_area_accounting () =
-  let ours, _ = List.hd (Lazy.force run_pairs) in
-  let x, y, w, h = Mfb_core.Area.bounding_box ours in
-  Alcotest.(check bool) "box inside chip" true
-    (x >= 0 && y >= 0 && x + w <= ours.chip.width
-    && y + h <= ours.chip.height);
-  let comp = Mfb_core.Area.component_area_cells ours in
-  let chan = Mfb_core.Area.channel_area_cells ours in
-  let used = Mfb_core.Area.used_area_cells ours in
-  Alcotest.(check int) "PCR: three 3x3 mixers" 27 comp;
-  Alcotest.(check bool) "channels exist" true (chan > 0);
-  Alcotest.(check bool) "used <= comp + chan (ports may overlap)" true
-    (used <= comp + chan);
-  Alcotest.(check bool) "used >= comp" true (used >= comp);
-  let packed = Mfb_core.Area.utilised_fraction ours in
-  Alcotest.(check bool) "packing in (0,1]" true (0. < packed && packed <= 1.)
-
-let test_area_storage_unit () =
-  Alcotest.(check int) "capacity 4" 20
-    (Mfb_core.Area.storage_unit_area_cells ~capacity:4);
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Area.storage_unit_area_cells: negative") (fun () ->
-      ignore (Mfb_core.Area.storage_unit_area_cells ~capacity:(-1)))
-
 (* --- Allocation exploration --- *)
 
 let test_allocator_frontier () =
@@ -731,11 +705,6 @@ let suites =
       [ prop_whole_flow_invariants; prop_whole_flow_baseline_invariants ] );
     ( "core.stress",
       [ Alcotest.test_case "100-operation assay" `Slow test_large_assay_stress ] );
-    ( "core.area",
-      [
-        Alcotest.test_case "accounting" `Quick test_area_accounting;
-        Alcotest.test_case "storage unit" `Quick test_area_storage_unit;
-      ] );
     ( "core.allocator",
       [
         Alcotest.test_case "pareto frontier" `Quick test_allocator_frontier;
