@@ -142,7 +142,10 @@ let with_fleet ~plan f =
   in
   let cluster =
     Cluster.create
-      { (Cluster.default_config ~worker_argv ~size:fleet) with timeout }
+      {
+        (Cluster.default_config ~worker_argv ~size:fleet) with
+        dispatch = { Mfb_cluster.Dispatcher.default_config with timeout };
+      }
   in
   Fun.protect
     ~finally:(fun () ->

@@ -1121,8 +1121,12 @@ let serve_cmd =
           Mfb_cluster.Cluster.create
             {
               (Mfb_cluster.Cluster.default_config ~worker_argv ~size:fleet) with
-              timeout = worker_timeout;
-              max_retries;
+              dispatch =
+                {
+                  Mfb_cluster.Dispatcher.default_config with
+                  timeout = worker_timeout;
+                  max_retries;
+                };
               route;
             }
         in

@@ -7,25 +7,12 @@ module Server = Mfb_server.Server
 type config = {
   size : int;
   worker_argv : int -> string array;
-  timeout : float;
-  hb_timeout : float;
-  max_retries : int;
-  backoff_cap : int;
-  heartbeat : bool;
+  dispatch : Dispatcher.config;
   route : (Server.job -> int option) option;
 }
 
 let default_config ~worker_argv ~size =
-  {
-    size;
-    worker_argv;
-    timeout = Dispatcher.default_config.Dispatcher.timeout;
-    hb_timeout = Dispatcher.default_config.Dispatcher.hb_timeout;
-    max_retries = Dispatcher.default_config.Dispatcher.max_retries;
-    backoff_cap = 8;
-    heartbeat = Dispatcher.default_config.Dispatcher.heartbeat;
-    route = None;
-  }
+  { size; worker_argv; dispatch = Dispatcher.default_config; route = None }
 
 type t = {
   cfg : config;
@@ -42,9 +29,7 @@ let create cfg =
    with Invalid_argument _ | Sys_error _ -> ());
   {
     cfg;
-    sup =
-      Supervisor.create ~size:cfg.size ~backoff_cap:cfg.backoff_cap
-        cfg.worker_argv;
+    sup = Supervisor.create ~size:cfg.size cfg.worker_argv;
     dstats = Dispatcher.make_stats ();
     slot_bytes = Array.init cfg.size (fun _ -> Histogram.create ());
     stopped = false;
@@ -90,15 +75,8 @@ let payload_of_line t ~wire_id ~slot line =
   | Ok _ | Error _ -> None
 
 let dispatch t jobs =
-  let dcfg =
-    {
-      Dispatcher.timeout = t.cfg.timeout;
-      hb_timeout = t.cfg.hb_timeout;
-      max_retries = t.cfg.max_retries;
-      heartbeat = t.cfg.heartbeat;
-    }
-  in
-  Dispatcher.run_batch ?route:t.cfg.route ~cfg:dcfg ~sup:t.sup ~stats:t.dstats
+  Dispatcher.run_batch ?route:t.cfg.route ~cfg:t.cfg.dispatch ~sup:t.sup
+    ~stats:t.dstats
     ~degrade:(fun job ->
       (Server.run_job ~trace:[ ("degraded", Telemetry.Bool true) ] job, []))
     ~to_line:job_to_line ~of_line:(payload_of_line t) jobs

@@ -32,11 +32,7 @@ type config = {
   size : int;                        (** worker processes *)
   worker_argv : int -> string array; (** slot -> argv; must establish the
                                          server's base flow config *)
-  timeout : float;                   (** per-job response deadline, s *)
-  hb_timeout : float;                (** heartbeat deadline, s *)
-  max_retries : int;                 (** extra attempts before degrading *)
-  backoff_cap : int;                 (** max respawn backoff, ticks *)
-  heartbeat : bool;                  (** ping workers at batch start *)
+  dispatch : Dispatcher.config;      (** deadlines, retries, heartbeat *)
   route : (Mfb_server.Server.job -> int option) option;
       (** preferred slot per job (e.g. the consistent-hash owner of its
           cache key); a placement preference, never a correctness
@@ -44,8 +40,7 @@ type config = {
 }
 
 val default_config : worker_argv:(int -> string array) -> size:int -> config
-(** {!Dispatcher.default_config} deadlines, retries 2, backoff cap 8,
-    heartbeat on, no route. *)
+(** {!Dispatcher.default_config}, no route. *)
 
 type t
 

@@ -7,7 +7,6 @@ type slot_state =
 type t = {
   size_ : int;
   argv_of : int -> string array;
-  backoff_cap : int;
   slots : slot_state array;
   streak : int array;  (* consecutive failures per slot *)
   spawned_once : bool array;
@@ -20,12 +19,11 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ~size ?(backoff_cap = 8) argv_of =
+let create ~size argv_of =
   if size < 1 then invalid_arg "Supervisor.create: size < 1";
   {
     size_ = size;
     argv_of;
-    backoff_cap;
     slots = Array.make size (Due 0);
     streak = Array.make size 0;
     spawned_once = Array.make size false;
@@ -42,7 +40,10 @@ let size t = t.size_
 let respawns t = t.respawns_
 let spawn_failures t = t.spawn_failures_
 
-let backoff_delay t slot = min t.backoff_cap (1 lsl (t.streak.(slot) - 1))
+(* Respawn backoff cap, in ticks. *)
+let backoff_cap = 8
+
+let backoff_delay t slot = min backoff_cap (1 lsl (t.streak.(slot) - 1))
 
 let schedule_respawn t slot =
   t.streak.(slot) <- t.streak.(slot) + 1;

@@ -4,7 +4,7 @@
     {!Worker_proc.t}, or backing off after a failure.  Failures back
     off exponentially in {e virtual ticks} (the dispatcher advances one
     tick per wave): after the [f]-th consecutive failure the slot waits
-    [min backoff_cap (2^(f-1))] ticks before the next spawn attempt,
+    [min 8 (2^(f-1))] ticks before the next spawn attempt,
     and a successful job resets the streak.  Time is the caller's tick
     counter, never wall-clock, so a replay of the same fault schedule
     respawns at the same points.
@@ -16,10 +16,9 @@
 
 type t
 
-val create : size:int -> ?backoff_cap:int -> (int -> string array) -> t
+val create : size:int -> (int -> string array) -> t
 (** [create ~size argv_of_slot] prepares [size] slots; nothing is
-    spawned until the first {!tick}.  [backoff_cap] (default 8) caps the
-    backoff delay in ticks.
+    spawned until the first {!tick}.
     @raise Invalid_argument if [size < 1]. *)
 
 val size : t -> int

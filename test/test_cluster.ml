@@ -291,7 +291,7 @@ let test_worker_closed_reply_pipe_exits_cleanly () =
 (* --- supervision --- *)
 
 let test_supervisor_respawns_with_backoff () =
-  let sup = Supervisor.create ~size:1 ~backoff_cap:8 (fun _ -> [| "cat" |]) in
+  let sup = Supervisor.create ~size:1 (fun _ -> [| "cat" |]) in
   Fun.protect
     ~finally:(fun () -> Supervisor.stop sup)
     (fun () ->
@@ -355,9 +355,13 @@ let with_cluster ?plan ?(size = 2) ?(timeout = 10.0) ?(max_retries = 2) f =
     Cluster.create
       {
         (Cluster.default_config ~worker_argv ~size) with
-        timeout;
-        hb_timeout = 10.0;
-        max_retries;
+        dispatch =
+          {
+            Mfb_cluster.Dispatcher.default_config with
+            timeout;
+            hb_timeout = 10.0;
+            max_retries;
+          };
       }
   in
   Fun.protect
@@ -483,9 +487,13 @@ let test_cluster_oversized_reply_is_garbage () =
         (Cluster.default_config ~worker_argv:(fun _ -> oversized_then_ok)
            ~size:1)
         with
-        timeout = 10.0;
-        max_retries = 0;
-        heartbeat = false;
+        dispatch =
+          {
+            Mfb_cluster.Dispatcher.default_config with
+            timeout = 10.0;
+            max_retries = 0;
+            heartbeat = false;
+          };
       }
   in
   Fun.protect
