@@ -1105,18 +1105,6 @@ let serve_cmd =
                | None -> []
                | Some path -> [ "--fault-plan"; path ]))
         in
-        (* Under --tcp each job goes to the consistent-hash owner of its
-           cache key, keeping each worker's cache/compute partition
-           stable (a placement preference: answers are byte-identical
-           either way).  The stdio path keeps the slot-order scan. *)
-        let route =
-          if tcp = None then None
-          else
-            let ring = Mfb_net.Shard.create ~slots:fleet () in
-            Some
-              (fun (job : Mfb_server.Server.job) ->
-                Some (Mfb_net.Shard.slot_of_key ring job.Mfb_server.Server.key))
-        in
         let cluster =
           Mfb_cluster.Cluster.create
             {
@@ -1127,7 +1115,6 @@ let serve_cmd =
                   timeout = worker_timeout;
                   max_retries;
                 };
-              route;
             }
         in
         let cfg =

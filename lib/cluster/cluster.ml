@@ -8,11 +8,10 @@ type config = {
   size : int;
   worker_argv : int -> string array;
   dispatch : Dispatcher.config;
-  route : (Server.job -> int option) option;
 }
 
 let default_config ~worker_argv ~size =
-  { size; worker_argv; dispatch = Dispatcher.default_config; route = None }
+  { size; worker_argv; dispatch = Dispatcher.default_config }
 
 type t = {
   cfg : config;
@@ -75,8 +74,7 @@ let payload_of_line t ~wire_id ~slot line =
   | Ok _ | Error _ -> None
 
 let dispatch t jobs =
-  Dispatcher.run_batch ?route:t.cfg.route ~cfg:t.cfg.dispatch ~sup:t.sup
-    ~stats:t.dstats
+  Dispatcher.run_batch ~cfg:t.cfg.dispatch ~sup:t.sup ~stats:t.dstats
     ~degrade:(fun job ->
       (Server.run_job ~trace:[ ("degraded", Telemetry.Bool true) ] job, []))
     ~to_line:job_to_line ~of_line:(payload_of_line t) jobs
@@ -126,7 +124,6 @@ let series t =
          ("timeouts", d.Dispatcher.timeouts);
          ("garbage", d.Dispatcher.garbage);
          ("heartbeat_failures", d.Dispatcher.heartbeat_failures);
-         ("routed", d.Dispatcher.routed);
        ]
   @ row "slots" (Server.Info (Json.List (List.init t.cfg.size slot)))
     :: List.mapi

@@ -33,14 +33,10 @@ type config = {
   worker_argv : int -> string array; (** slot -> argv; must establish the
                                          server's base flow config *)
   dispatch : Dispatcher.config;      (** deadlines, retries, heartbeat *)
-  route : (Mfb_server.Server.job -> int option) option;
-      (** preferred slot per job (e.g. the consistent-hash owner of its
-          cache key); a placement preference, never a correctness
-          condition — see {!Dispatcher.run_batch} *)
 }
 
 val default_config : worker_argv:(int -> string array) -> size:int -> config
-(** {!Dispatcher.default_config}, no route. *)
+(** {!Dispatcher.default_config}. *)
 
 type t
 
@@ -62,8 +58,8 @@ val respawns : t -> int
 val series : t -> Mfb_server.Server.series list
 (** The fleet's stats rows, for the server's [extra_series]: under
     ["cluster"], the fleet size, the respawn / spawn-failure / dispatch
-    / retry / degradation / crash / timeout / garbage / heartbeat /
-    routed counters and a ["slots"] table of per-slot health (respawns,
+    / retry / degradation / crash / timeout / garbage / heartbeat
+    counters and a ["slots"] table of per-slot health (respawns,
     consecutive failures, dispatch successes, last outcome and a
     reply-size histogram snapshot); then one [dcsa_fleet_reply_bytes]
     Prometheus histogram with a [slot] label per fleet member. *)

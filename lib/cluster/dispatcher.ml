@@ -18,7 +18,6 @@ type stats = {
   mutable timeouts : int;
   mutable garbage : int;
   mutable heartbeat_failures : int;
-  mutable routed : int;
 }
 
 let make_stats () =
@@ -30,7 +29,6 @@ let make_stats () =
     timeouts = 0;
     garbage = 0;
     heartbeat_failures = 0;
-    routed = 0;
   }
 
 type meta = {
@@ -47,7 +45,7 @@ type 'job pending = {
 
 let bump name = Telemetry.incr ~cat:"cluster" name
 
-let run_batch ?route ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
+let run_batch ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
   let n = List.length jobs in
   let results = Array.make n None in
   let pending =
@@ -103,35 +101,17 @@ let run_batch ?route ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
       let wave = ref [] in
       List.iter
         (fun p ->
-          let avail =
-            List.filter
+          match
+            List.find_opt
               (fun (slot, _) ->
                 (not (List.mem slot p.excluded))
                 && not (Hashtbl.mem taken slot))
               live
-          in
-          (* The job's shard owner wins when it is available this wave;
-             otherwise the slot-order scan keeps waves full.  Preference
-             only — any worker computes the same bytes. *)
-          let preferred =
-            match route with
-            | None -> None
-            | Some f ->
-              (match f p.job with
-               | Some s ->
-                 List.find_opt (fun (slot, _) -> slot = s) avail
-               | None -> None)
-          in
-          match (preferred, avail) with
-          | Some (slot, w), _ ->
-            stats.routed <- stats.routed + 1;
-            bump "routed";
+          with
+          | Some (slot, w) ->
             Hashtbl.add taken slot ();
             wave := (p, slot, w) :: !wave
-          | None, (slot, w) :: _ ->
-            Hashtbl.add taken slot ();
-            wave := (p, slot, w) :: !wave
-          | None, [] ->
+          | None ->
             if
               List.for_all (fun (slot, _) -> List.mem slot p.excluded) live
             then degrade_job p  (* every live slot already failed it *)

@@ -41,9 +41,6 @@ type stats = {
   mutable garbage : int;     (** unparseable, mismatched or oversized
                                  responses *)
   mutable heartbeat_failures : int;
-  mutable routed : int;
-      (** jobs sent to their [route]-preferred slot — how often the
-          consistent-hash partition actually held *)
 }
 
 val make_stats : unit -> stats
@@ -60,7 +57,6 @@ type meta = {
     attempts it took. *)
 
 val run_batch :
-  ?route:('job -> int option) ->
   cfg:config ->
   sup:Supervisor.t ->
   stats:stats ->
@@ -74,10 +70,5 @@ val run_batch :
     [to_line] serializes a job as a wire request carrying [wire_id];
     [of_line] parses a response line read from [slot], returning [None]
     unless it is a well-formed answer to [wire_id] (triggering the
-    garbage path).  [route] names each job's preferred slot (e.g. the
-    consistent-hash owner of its cache key): the job is assigned there
-    when that slot is live, unexcluded and free this wave, and falls
-    back to the ordinary slot-order scan otherwise — a preference,
-    never a correctness condition, since workers are answer-equivalent.
-    Counter increments mirror into {!Mfb_util.Telemetry} under the
-    ["cluster"] category. *)
+    garbage path).  Counter increments mirror into
+    {!Mfb_util.Telemetry} under the ["cluster"] category. *)

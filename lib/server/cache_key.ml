@@ -129,4 +129,3 @@ let equal = Int64.equal
 let compare = Int64.compare
 let hash k = Int64.to_int k land max_int
 let to_hex k = Printf.sprintf "%016Lx" k
-let to_int64 k = k

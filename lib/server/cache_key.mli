@@ -57,7 +57,3 @@ val hash : t -> int
 val to_hex : t -> string
 (** 16 lowercase hex digits — the wire form quoted in protocol
     responses. *)
-
-val to_int64 : t -> int64
-(** The raw 64-bit hash — what a consistent-hash ring places on its
-    circle to shard keys across fleet members. *)

@@ -1,15 +1,13 @@
-(* Tests for the TCP serving tier: the bounded line framer, the
-   consistent-hash shard ring, interleaved multi-client determinism
-   against the in-process server, and end-to-end socket behaviour of
-   'dcsa_synth serve --tcp' (byte-identity with stdio, distinct rids,
-   surviving client disconnects). *)
+(* Tests for the TCP serving tier: the bounded line framer,
+   interleaved multi-client determinism against the in-process server,
+   and end-to-end socket behaviour of 'dcsa_synth serve --tcp'
+   (byte-identity with stdio, distinct rids, surviving client
+   disconnects). *)
 
 module Json = Mfb_util.Json
 module P = Mfb_server.Protocol
 module Server = Mfb_server.Server
-module Cache_key = Mfb_server.Cache_key
 module Frame = Mfb_net.Frame
-module Shard = Mfb_net.Shard
 module Tcp_client = Mfb_net.Tcp_client
 
 let qtest = Test_util.qtest
@@ -55,71 +53,6 @@ let test_frame_close_surfaces_partial () =
   (match drain fr with
    | [ Frame.Line "partial" ] -> ()
    | _ -> Alcotest.fail "close must surface the final unterminated line")
-
-(* --- shard: consistent hashing over fleet slots --- *)
-
-let key_of_seed seed =
-  (* distinct cache keys from distinct submissions *)
-  let g =
-    match
-      Mfb_bioassay.Assay_file.parse
-        (Printf.sprintf "assay \"k%d\"\nfluid a 4e-7\nop 0 mix %d a\n" seed
-           (1 + (seed mod 7)))
-    with
-    | Ok g -> g
-    | Error _ -> Alcotest.fail "assay parse"
-  in
-  Cache_key.make ~config:Mfb_core.Config.default ~graph:g
-    ~allocation:(Mfb_component.Allocation.of_vector (1, 0, 0, 0))
-    ()
-
-let test_shard_stable_and_in_range () =
-  let ring = Shard.create ~slots:5 () in
-  let ring' = Shard.create ~slots:5 () in
-  for seed = 0 to 99 do
-    let k = key_of_seed seed in
-    let s = Shard.slot_of_key ring k in
-    Alcotest.(check bool) "slot in range" true (s >= 0 && s < 5);
-    Alcotest.(check int) "same ring params, same owner" s
-      (Shard.slot_of_key ring' k)
-  done
-
-let test_shard_covers_all_slots () =
-  (* 64 replicas per slot spread arcs well enough that 200 keys land
-     on every member of a 4-slot ring *)
-  let ring = Shard.create ~slots:4 () in
-  let seen = Array.make 4 false in
-  for seed = 0 to 199 do
-    seen.(Shard.slot_of_key ring (key_of_seed seed)) <- true
-  done;
-  Alcotest.(check bool) "all slots own keys" true
-    (Array.for_all Fun.id seen)
-
-let prop_shard_remove_remaps_only_owned =
-  qtest ~count:100 "removing a slot remaps only its keys"
-    QCheck2.Gen.(pair (int_range 2 6) (int_range 0 5))
-    (fun (slots, victim) ->
-      let victim = victim mod slots in
-      let ring = Shard.create ~slots () in
-      let ring' = Shard.remove ring victim in
-      List.for_all
-        (fun seed ->
-          let k = key_of_seed seed in
-          let before = Shard.slot_of_hash ring (Cache_key.to_int64 k) in
-          let after = Shard.slot_of_hash ring' (Cache_key.to_int64 k) in
-          if before = victim then after <> victim
-          else after = before)
-        (List.init 60 Fun.id))
-
-let test_shard_validation () =
-  Alcotest.check_raises "slots < 1"
-    (Invalid_argument "Shard.create: slots < 1") (fun () ->
-      ignore (Shard.create ~slots:0 ()));
-  let ring = Shard.of_slots [ 3; 1 ] in
-  Alcotest.(check (list int)) "of_slots ascending" [ 1; 3 ] (Shard.slots ring);
-  Alcotest.check_raises "remove last"
-    (Invalid_argument "Shard.remove: cannot remove the last slot")
-    (fun () -> ignore (Shard.remove (Shard.of_slots [ 2 ]) 2))
 
 (* --- interleaved multi-client streams vs one serialized stream ---
 
@@ -445,15 +378,6 @@ let suites =
           test_frame_oversized_resync;
         Alcotest.test_case "close surfaces partial line" `Quick
           test_frame_close_surfaces_partial;
-      ] );
-    ( "net.shard",
-      [
-        Alcotest.test_case "stable owners in range" `Quick
-          test_shard_stable_and_in_range;
-        Alcotest.test_case "all slots own keys" `Quick
-          test_shard_covers_all_slots;
-        prop_shard_remove_remaps_only_owned;
-        Alcotest.test_case "validation" `Quick test_shard_validation;
       ] );
     ( "net.interleave",
       [ prop_interleaving_matches_serialized ] );
