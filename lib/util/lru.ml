@@ -78,8 +78,6 @@ let find t k =
     count t "miss";
     None
 
-let mem t k = Hashtbl.mem t.table k
-
 let evict_lru t =
   match t.tail with
   | None -> ()

@@ -38,9 +38,6 @@ val find : ('k, 'v) t -> 'k -> 'v option
 (** [find t k] returns the cached value and marks [k] most recently
     used; counts a hit or a miss. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Pure lookup: no recency update, no counter. *)
-
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** [add t k v] binds [k] to [v] as the most recently used entry,
     replacing any previous binding of [k].  When the cache is full the
