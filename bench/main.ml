@@ -6,7 +6,6 @@
    Run with: dune exec bench/main.exe *)
 
 module Flow = Mfb_core.Flow
-module Baseline = Mfb_core.Baseline
 module Config = Mfb_core.Config
 module Suite = Mfb_core.Suite
 module Result_ = Mfb_core.Result
@@ -183,7 +182,7 @@ let tc_sensitivity config =
       let ba =
         List.map
           (fun (i : Suite.instance) ->
-            Baseline.run ~config:cfg i.graph i.allocation)
+            Flow.run ~config:cfg ~variant:`Ba i.graph i.allocation)
           synthetics
       in
       let mean field results = Stats.mean (List.map field results) in
@@ -256,7 +255,7 @@ let dedicated_comparison config =
     (fun (inst : Suite.instance) ->
       let tc = config.Config.tc in
       let dcsa =
-        Mfb_schedule.Dcsa_scheduler.schedule ~tc inst.graph inst.allocation
+        Mfb_schedule.Engine.run ~case1:true ~tc inst.graph inst.allocation
       in
       let dedicated =
         Mfb_schedule.Engine.run ~storage:`Unit ~case1:false ~tc inst.graph
@@ -468,7 +467,7 @@ let multistart_study config =
   List.iter
     (fun (inst : Suite.instance) ->
       let single =
-        Mfb_schedule.Dcsa_scheduler.schedule ~tc:config.Config.tc inst.graph
+        Mfb_schedule.Engine.run ~case1:true ~tc:config.Config.tc inst.graph
           inst.allocation
       in
       let multi =
@@ -549,9 +548,9 @@ let io_study config =
       let ours_io =
         Flow.run ~config ~route_io:true inst.graph inst.allocation
       in
-      let ba = Baseline.run ~config inst.graph inst.allocation in
+      let ba = Flow.run ~config ~variant:`Ba inst.graph inst.allocation in
       let ba_io =
-        Baseline.run ~config ~route_io:true inst.graph inst.allocation
+        Flow.run ~config ~variant:`Ba ~route_io:true inst.graph inst.allocation
       in
       Table.add_row table
         [
@@ -587,7 +586,7 @@ let allocation_exploration config =
   List.iter
     (fun (inst : Suite.instance) ->
       let table1_sched =
-        Mfb_schedule.Dcsa_scheduler.schedule ~tc:config.Config.tc inst.graph
+        Mfb_schedule.Engine.run ~case1:true ~tc:config.Config.tc inst.graph
           inst.allocation
       in
       let frontier = Mfb_core.Allocator.explore ~tc:config.tc inst.graph in
@@ -800,7 +799,7 @@ let bechamel_tests config pairs =
   in
   let cpa = Suite.cpa () in
   let sched =
-    Mfb_schedule.Dcsa_scheduler.schedule ~tc:config.Config.tc cpa.graph
+    Mfb_schedule.Engine.run ~case1:true ~tc:config.Config.tc cpa.graph
       cpa.allocation
   in
   let nets =
@@ -815,7 +814,7 @@ let bechamel_tests config pairs =
     [
       Test.make ~name:"stage/schedule-cpa"
         (Staged.stage (fun () ->
-             Mfb_schedule.Dcsa_scheduler.schedule ~tc:config.tc cpa.graph
+             Mfb_schedule.Engine.run ~case1:true ~tc:config.tc cpa.graph
                cpa.allocation));
       Test.make ~name:"stage/place-cpa"
         (Staged.stage (fun () ->

@@ -18,7 +18,9 @@ let () =
     (Mfb_util.Table.Left :: List.init 5 (fun _ -> Mfb_util.Table.Right));
   List.iter
     (fun (inst : Mfb_core.Suite.instance) ->
-      let dcsa = Mfb_schedule.Dcsa_scheduler.schedule ~tc inst.graph inst.allocation in
+      let dcsa =
+        Mfb_schedule.Engine.run ~case1:true ~tc inst.graph inst.allocation
+      in
       let ded =
         Mfb_schedule.Engine.run ~storage:`Unit ~case1:false ~tc inst.graph
           inst.allocation

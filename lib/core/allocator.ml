@@ -28,7 +28,7 @@ let explore ?(tc = Config.default.tc) ?(max_per_kind = 8) graph =
   in
   let evaluate vector =
     let allocation = Allocation.of_vector vector in
-    let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc graph allocation in
+    let sched = Mfb_schedule.Engine.run ~case1:true ~tc graph allocation in
     {
       allocation;
       components = Allocation.total allocation;

@@ -11,7 +11,7 @@
     pure function of (graph, allocation, tc, fuel), independent of host
     and [--jobs] settings.  Exponential in the worst case; intended for
     assays of up to about a dozen operations, as the ground-truth oracle
-    for {!Dcsa_scheduler} and the heuristic flow. *)
+    for the list scheduler ({!Engine.run}) and the heuristic flow. *)
 
 type t = {
   schedule : Types.t;
@@ -39,6 +39,6 @@ val schedule :
     (default {!default_fuel}) expanded nodes; when the budget is hit,
     [truncated] is true, [optimal] is false and the best incumbent is
     returned.  The search is seeded with the DCSA heuristic so the
-    result is never worse than {!Dcsa_scheduler.schedule}.
+    result is never worse than {!Engine.run} with [case1 = true].
     @raise Invalid_argument if [fuel < 1] or under the same conditions
     as {!Engine.run}. *)

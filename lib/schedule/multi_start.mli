@@ -6,7 +6,7 @@
     randomly perturbed priorities and keeps the best schedule — a cheap,
     classic way to shave a few percent off a constructive heuristic.
     The first restart always uses the unperturbed priorities, so the
-    result is never worse than {!Dcsa_scheduler.schedule}. *)
+    result is never worse than {!Engine.run} with [case1 = true]. *)
 
 type t = {
   schedule : Types.t;     (** best schedule found *)

@@ -1,7 +1,7 @@
 (** Backend selection and the exact-vs-heuristic portfolio runner.
 
     The flow can schedule with three backends: the paper's DCSA heuristic
-    ({!Dcsa_scheduler}), the branch-and-bound oracle ({!Exact}), or a
+    ({!Engine.run}), the branch-and-bound oracle ({!Exact}), or a
     portfolio that races both and keeps the better schedule.  The race is
     deterministic by construction: each arm runs to completion under its
     own virtual-tick budget (the exact arm's fuel is the cooperative

@@ -288,7 +288,7 @@ let test_serial_dilution () =
   Alcotest.(check int) "chain + reads edges" 9 (Seq_graph.n_edges g);
   (* The whole ladder consumes its chain in place under DCSA. *)
   let sched =
-    Mfb_schedule.Dcsa_scheduler.schedule ~tc:2.0 g
+    Mfb_schedule.Engine.run ~case1:true ~tc:2.0 g
       (Mfb_component.Allocation.of_vector (2, 0, 0, 1))
   in
   Alcotest.(check bool) "legal" true (Mfb_schedule.Check.is_legal ~tc:2.0 sched);

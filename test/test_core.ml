@@ -2,7 +2,6 @@
    and the comparative claims of the paper (shape, not absolute values). *)
 
 module Flow = Mfb_core.Flow
-module Baseline = Mfb_core.Baseline
 module Config = Mfb_core.Config
 module Suite = Mfb_core.Suite
 module Result_ = Mfb_core.Result
@@ -24,7 +23,7 @@ let run_pairs =
     (List.map
        (fun (inst : Suite.instance) ->
          ( Flow.run ~config:cfg inst.graph inst.allocation,
-           Baseline.run ~config:cfg inst.graph inst.allocation ))
+           Flow.run ~config:cfg ~variant:`Ba inst.graph inst.allocation ))
        (Suite.all ()))
 
 (* --- Config --- *)
@@ -103,7 +102,9 @@ let baseline_sanity_tests =
       let name = Mfb_bioassay.Seq_graph.name inst.graph in
       [
         Alcotest.test_case (name ^ " baseline sane") `Quick (fun () ->
-            let r = Baseline.run ~config:fast_cfg inst.graph inst.allocation in
+            let r =
+              Flow.run ~config:fast_cfg ~variant:`Ba inst.graph inst.allocation
+            in
             Alcotest.(check bool) "schedule legal" true
               (Check.is_legal ~tc:fast_cfg.tc r.schedule);
             Alcotest.(check bool) "utilization range" true
@@ -566,7 +567,7 @@ let prop_whole_flow_baseline_invariants =
   qtest "baseline output passes Check and DRC on random assays"
     random_instance_gen
     (fun (graph, allocation) ->
-      let r = Baseline.run ~config:fast_cfg graph allocation in
+      let r = Flow.run ~config:fast_cfg ~variant:`Ba graph allocation in
       Check.is_legal ~tc:fast_cfg.tc r.schedule
       && Mfb_route.Drc.is_clean r.chip r.routing)
 
@@ -648,7 +649,7 @@ let test_large_assay_stress () =
     Mfb_component.Allocation.make ~mixers:8 ~heaters:4 ~filters:3 ~detectors:2
   in
   let ours = Flow.run ~config:fast_cfg graph allocation in
-  let ba = Baseline.run ~config:fast_cfg graph allocation in
+  let ba = Flow.run ~config:fast_cfg ~variant:`Ba graph allocation in
   Alcotest.(check bool) "legal at 100 ops" true
     (Check.is_legal ~tc:fast_cfg.tc ours.schedule);
   Alcotest.(check bool) "drc clean at 100 ops" true

@@ -80,7 +80,7 @@ let prop_annealer_jobs_equivalent =
   qtest ~count:25 "Annealer restarts jobs=1 == jobs=4 (energy, placement)"
     QCheck2.Gen.(pair instance_gen (int_bound 1000))
     (fun ((g, alloc), seed) ->
-      let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+      let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
       let nets =
         Mfb_place.Energy.weigh ~beta:0.6 ~gamma:0.4
           (Mfb_place.Net.of_schedule sched)
@@ -211,7 +211,7 @@ let prop_annealer_temperature_steps_invariant =
   qtest ~count:25 "Annealer temperature_steps: pure function of params"
     QCheck2.Gen.(pair instance_gen (int_bound 1000))
     (fun ((g, alloc), seed) ->
-      let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+      let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
       let nets =
         Mfb_place.Energy.weigh ~beta:0.6 ~gamma:0.4
           (Mfb_place.Net.of_schedule sched)
@@ -229,7 +229,7 @@ let prop_astar_stats_deterministic =
   qtest ~count:20 "A* search effort (pops/pushes/expansions) deterministic"
     QCheck2.Gen.(pair instance_gen (int_bound 1000))
     (fun ((g, alloc), seed) ->
-      let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+      let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
       let nets =
         Mfb_place.Energy.weigh ~beta:0.6 ~gamma:0.4
           (Mfb_place.Net.of_schedule sched)

@@ -19,7 +19,7 @@ let qtest ?(count = 60) name gen prop =
 
 let components_of vector = Array.of_list (Allocation.components (Allocation.of_vector vector))
 
-let sched_of (g, alloc) = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc
+let sched_of (g, alloc) = Mfb_schedule.Engine.run ~case1:true ~tc g alloc
 
 (* --- Chip --- *)
 

@@ -26,7 +26,7 @@ let grid_of vector = Rgrid.create ~we (chip_of vector)
 (* A full synthesis front-end for routing tests. *)
 let routed_instance ?(weight_update = true) index =
   let g, alloc = List.nth (Testkit.suite_instances ()) index in
-  let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+  let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
   let nets =
     Mfb_place.Energy.weigh ~beta:0.6 ~gamma:0.4 (Mfb_place.Net.of_schedule sched)
   in
@@ -449,7 +449,7 @@ let test_router_weight_update_effect () =
 let test_router_tc_validation () =
   let chip = chip_of (1, 0, 0, 0) in
   let g, alloc = List.hd (Testkit.suite_instances ()) in
-  let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+  let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
   Alcotest.check_raises "tc" (Invalid_argument "Router.route: tc must be positive")
     (fun () -> ignore (Router.route ~we ~tc:0. chip sched))
 
@@ -457,7 +457,7 @@ let test_router_tc_validation () =
 
 let io_instance index =
   let g, alloc = List.nth (Testkit.suite_instances ()) index in
-  let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+  let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
   let nets =
     Mfb_place.Energy.weigh ~beta:0.6 ~gamma:0.4 (Mfb_place.Net.of_schedule sched)
   in
@@ -471,7 +471,7 @@ let io_instance index =
 
 let test_io_templates_cover_sources_and_sinks () =
   let g, alloc = List.nth (Testkit.suite_instances ()) 2 (* CPA *) in
-  let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+  let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
   let temps = Mfb_route.Io_router.templates ~tc sched in
   let dispense =
     List.length
@@ -736,7 +736,7 @@ let test_router_deterministic () =
 
 let negotiated_instance index =
   let g, alloc = List.nth (Testkit.suite_instances ()) index in
-  let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+  let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
   let nets =
     Mfb_place.Energy.weigh ~beta:0.6 ~gamma:0.4 (Mfb_place.Net.of_schedule sched)
   in
@@ -774,7 +774,7 @@ let test_negotiated_deterministic () =
 let test_negotiated_validation () =
   let chip = chip_of (1, 0, 0, 0) in
   let g, alloc = List.hd (Testkit.suite_instances ()) in
-  let sched = Mfb_schedule.Dcsa_scheduler.schedule ~tc g alloc in
+  let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
   Alcotest.check_raises "tc"
     (Invalid_argument "Negotiated_router.route: tc must be positive")
     (fun () ->

@@ -6,14 +6,14 @@ module Operation = Mfb_bioassay.Operation
 module Fluid = Mfb_bioassay.Fluid
 module Allocation = Mfb_component.Allocation
 module Types = Mfb_schedule.Types
-module Dcsa = Mfb_schedule.Dcsa_scheduler
+module Engine = Mfb_schedule.Engine
 module Metrics = Mfb_schedule.Metrics
 module Retime = Mfb_schedule.Retime
 module Check = Mfb_schedule.Check
 
 (* BA's binding rule: earliest-ready, no Case-I preference. *)
 module Baseline = struct
-  let schedule ~tc g alloc = Mfb_schedule.Engine.run ~case1:false ~tc g alloc
+  let schedule ~tc g alloc = Engine.run ~case1:false ~tc g alloc
 end
 
 let tc = 2.0
@@ -44,7 +44,7 @@ let legality_tests =
       let name = Seq_graph.name g in
       [
         Alcotest.test_case (name ^ " dcsa legal") `Quick (fun () ->
-            check_legal name (Dcsa.schedule ~tc g alloc));
+            check_legal name (Engine.run ~case1:true ~tc g alloc));
         Alcotest.test_case (name ^ " baseline legal") `Quick (fun () ->
             check_legal name (Baseline.schedule ~tc g alloc));
       ])
@@ -55,7 +55,7 @@ let legality_tests =
 let test_dcsa_never_slower () =
   List.iter
     (fun (g, alloc) ->
-      let ours = Dcsa.schedule ~tc g alloc in
+      let ours = Engine.run ~case1:true ~tc g alloc in
       let ba = Baseline.schedule ~tc g alloc in
       Alcotest.(check bool)
         (Seq_graph.name g ^ " makespan ours <= ba")
@@ -65,7 +65,9 @@ let test_dcsa_never_slower () =
 
 let test_dcsa_in_place_on_chains () =
   let g = Mfb_bioassay.Benchmarks.pcr () in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (3, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
+  in
   Alcotest.(check bool) "case-I fires on the PCR tree" true
     (Metrics.in_place_count sched > 0)
 
@@ -80,7 +82,9 @@ let case1_graph () =
 
 let test_case1_prefers_hard_wash_parent () =
   let g = case1_graph () in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (3, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
+  in
   check_legal "case1" sched;
   Alcotest.(check (option int)) "o2 consumes o0 in place" (Some 0)
     sched.times.(2).in_place_parent;
@@ -94,7 +98,9 @@ let test_case1_prefers_hard_wash_parent () =
 
 let test_case1_eliminates_transport () =
   let g = case1_graph () in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (3, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
+  in
   (* Only the o1 -> o2 edge needs a transport. *)
   Alcotest.(check int) "one transport" 1 (Metrics.transport_count sched);
   match sched.transports with
@@ -119,7 +125,9 @@ let test_case2_earliest_ready () =
         ]
       ~edges:[ (0, 2); (2, 3) ]
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (2, 1, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (2, 1, 0, 0))
+  in
   check_legal "case2" sched;
   (* o3's parents give no same-kind resident (heater output), so it binds
      to the earliest-ready mixer: mixer 0 frees at 3 + wash, mixer 1 at
@@ -142,7 +150,9 @@ let test_eviction_creates_cache () =
         ]
       ~edges:[ (0, 2); (1, 2) ]
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (1, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (1, 0, 0, 0))
+  in
   check_legal "evict" sched;
   Alcotest.(check bool) "channel cache incurred" true
     (Metrics.total_channel_cache_time sched > 0.);
@@ -157,7 +167,9 @@ let test_single_component_serializes () =
       ~ops:[ mix ~id:0 easy; mix ~id:1 easy; mix ~id:2 easy ]
       ~edges:[]
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (1, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (1, 0, 0, 0))
+  in
   check_legal "serial" sched;
   (* Three 5-second mixes with two intervening washes. *)
   Alcotest.(check bool) "makespan >= 15" true (sched.makespan >= 15.)
@@ -171,7 +183,9 @@ let test_fanout_copies () =
       ~ops:[ mix ~id:0 hard; mix ~id:1 easy; mix ~id:2 easy; mix ~id:3 easy ]
       ~edges:[ (0, 1); (0, 2); (0, 3) ]
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (4, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (4, 0, 0, 0))
+  in
   check_legal "fanout" sched;
   (* All three consumers get the fluid; with copies > 1 nobody may consume
      in place. *)
@@ -192,7 +206,9 @@ let test_loopback_cache_accounted () =
       ~ops:[ mix ~id:0 hard; mix ~id:1 easy; mix ~id:2 easy ]
       ~edges:[ (0, 2); (1, 2) ]
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (1, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (1, 0, 0, 0))
+  in
   check_legal "loopback" sched;
   let loopbacks =
     List.filter (fun (tr : Types.transport) -> tr.src = tr.dst)
@@ -214,7 +230,9 @@ let test_deep_chain_in_place_throughout () =
       ~ops:(List.init 12 (fun id -> mix ~id easy))
       ~edges:(List.init 11 (fun i -> (i, i + 1)))
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (1, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (1, 0, 0, 0))
+  in
   check_legal "deep chain" sched;
   Alcotest.(check int) "no transports" 0 (Metrics.transport_count sched);
   Alcotest.(check int) "all in place" 11 (Metrics.in_place_count sched);
@@ -228,7 +246,9 @@ let test_wide_independent_layer () =
       ~ops:(List.init 12 (fun id -> mix ~id easy))
       ~edges:[]
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (3, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
+  in
   check_legal "wide" sched;
   Alcotest.(check bool) "at least four waves" true (sched.makespan >= 20.);
   Alcotest.(check bool) "washes between waves only" true
@@ -240,18 +260,21 @@ let test_engine_validation () =
   let g = case1_graph () in
   Alcotest.check_raises "tc <= 0"
     (Invalid_argument "Engine.run: tc must be positive") (fun () ->
-      ignore (Dcsa.schedule ~tc:0. g (Allocation.of_vector (1, 0, 0, 0))));
+      ignore
+        (Engine.run ~case1:true ~tc:0. g (Allocation.of_vector (1, 0, 0, 0))));
   Alcotest.check_raises "uncovered kind"
     (Invalid_argument "Engine.run: allocation does not cover all operation kinds")
     (fun () ->
-      ignore (Dcsa.schedule ~tc g (Allocation.of_vector (0, 1, 0, 0))))
+      ignore (Engine.run ~case1:true ~tc g (Allocation.of_vector (0, 1, 0, 0))))
 
 (* --- Metrics --- *)
 
 let test_utilization_range () =
   List.iter
     (fun (g, alloc) ->
-      let u = Metrics.resource_utilization (Dcsa.schedule ~tc g alloc) in
+      let u =
+        Metrics.resource_utilization (Engine.run ~case1:true ~tc g alloc)
+      in
       Alcotest.(check bool)
         (Seq_graph.name g ^ " utilization in [0,1]")
         true
@@ -266,13 +289,17 @@ let test_utilization_known_value () =
       ~ops:[ mix ~id:0 easy; mix ~id:1 easy ]
       ~edges:[]
   in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (1, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (1, 0, 0, 0))
+  in
   Alcotest.(check (float 1e-6)) "utilization" (10. /. 10.2)
     (Metrics.resource_utilization sched)
 
 let test_busy_time () =
   let g = case1_graph () in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (3, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
+  in
   let total =
     List.fold_left
       (fun acc c -> acc +. Metrics.busy_time sched c.Mfb_component.Component.id)
@@ -284,7 +311,7 @@ let test_busy_time () =
 let test_transport_invariants () =
   List.iter
     (fun (g, alloc) ->
-      let sched = Dcsa.schedule ~tc g alloc in
+      let sched = Engine.run ~case1:true ~tc g alloc in
       List.iter
         (fun (tr : Types.transport) ->
           Alcotest.(check (float 1e-9))
@@ -299,7 +326,7 @@ let test_transport_invariants () =
 
 let test_concurrency_counts () =
   let g, alloc = List.nth (Testkit.suite_instances ()) 2 (* CPA *) in
-  let sched = Dcsa.schedule ~tc g alloc in
+  let sched = Engine.run ~case1:true ~tc g alloc in
   List.iter
     (fun tr ->
       let n = Metrics.concurrency sched tr in
@@ -329,7 +356,7 @@ let synthetic_instance_gen =
 
 let prop_dcsa_legal =
   qtest "dcsa schedule is always legal" synthetic_instance_gen
-    (fun (g, alloc) -> Check.is_legal ~tc (Dcsa.schedule ~tc g alloc))
+    (fun (g, alloc) -> Check.is_legal ~tc (Engine.run ~case1:true ~tc g alloc))
 
 let prop_baseline_legal =
   qtest "baseline schedule is always legal" synthetic_instance_gen
@@ -341,7 +368,7 @@ let prop_makespan_lower_bound =
       (* In-place chaining can skip every transport, so the only universal
          lower bound is the longest duration path (tc = 0 priorities are
          not expressible; use a tiny tc and subtract its contribution). *)
-      let sched = Dcsa.schedule ~tc g alloc in
+      let sched = Engine.run ~case1:true ~tc g alloc in
       let prio = Seq_graph.priorities g ~tc:1e-9 in
       let bound = Array.fold_left Float.max 0. prio -. 1e-3 in
       sched.makespan >= bound)
@@ -349,7 +376,7 @@ let prop_makespan_lower_bound =
 let prop_all_ops_scheduled =
   qtest "every operation gets exactly one time slot" synthetic_instance_gen
     (fun (g, alloc) ->
-      let sched = Dcsa.schedule ~tc g alloc in
+      let sched = Engine.run ~case1:true ~tc g alloc in
       Array.length sched.times = Seq_graph.n_ops g
       && Array.for_all
            (fun (t : Types.op_times) -> t.finish > t.start)
@@ -359,7 +386,7 @@ let prop_all_ops_scheduled =
 
 let test_retime_zero_delays_identity () =
   let g, alloc = List.nth (Testkit.suite_instances ()) 2 in
-  let sched = Dcsa.schedule ~tc g alloc in
+  let sched = Engine.run ~case1:true ~tc g alloc in
   let retimed = Retime.with_transport_delays sched ~delays:[] in
   Array.iteri
     (fun op (t : Types.op_times) ->
@@ -371,7 +398,7 @@ let test_retime_zero_delays_identity () =
 
 let test_retime_negative_delay_rejected () =
   let g, alloc = List.hd (Testkit.suite_instances ()) in
-  let sched = Dcsa.schedule ~tc g alloc in
+  let sched = Engine.run ~case1:true ~tc g alloc in
   Alcotest.check_raises "negative"
     (Invalid_argument "Retime.with_transport_delays: negative delay")
     (fun () ->
@@ -379,7 +406,9 @@ let test_retime_negative_delay_rejected () =
 
 let test_retime_pushes_consumer () =
   let g = case1_graph () in
-  let sched = Dcsa.schedule ~tc g (Allocation.of_vector (3, 0, 0, 0)) in
+  let sched =
+    Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
+  in
   let delayed = Retime.with_transport_delays sched ~delays:[ ((1, 2), 3.) ] in
   Alcotest.(check bool) "consumer pushed" true
     (delayed.times.(2).start >= sched.times.(2).start +. 3. -. 1e-9);
@@ -398,7 +427,7 @@ let prop_retime_monotone =
   qtest ~count:40 "retiming never moves operations earlier"
     QCheck2.Gen.(
       synthetic_instance_gen >>= fun (g, alloc) ->
-      let sched = Dcsa.schedule ~tc g alloc in
+      let sched = Engine.run ~case1:true ~tc g alloc in
       map (fun delays -> (sched, delays)) (delays_gen sched))
     (fun (sched, delays) ->
       let delays = List.filter (fun ((a, _), _) -> a >= 0) delays in
@@ -414,7 +443,7 @@ let prop_retime_legal =
   qtest ~count:40 "retimed schedules stay legal"
     QCheck2.Gen.(
       synthetic_instance_gen >>= fun (g, alloc) ->
-      let sched = Dcsa.schedule ~tc g alloc in
+      let sched = Engine.run ~case1:true ~tc g alloc in
       map (fun delays -> (sched, delays)) (delays_gen sched))
     (fun (sched, delays) ->
       let delays = List.filter (fun ((a, _), _) -> a >= 0) delays in
@@ -450,7 +479,7 @@ let test_dedicated_never_faster_than_dcsa () =
      a fluid is displaced. *)
   List.iter
     (fun (g, alloc) ->
-      let dcsa = Dcsa.schedule ~tc g alloc in
+      let dcsa = Engine.run ~case1:true ~tc g alloc in
       Alcotest.(check bool)
         (Seq_graph.name g ^ " dedicated >= dcsa")
         true
@@ -610,7 +639,7 @@ let small_instances () =
 let test_exact_never_worse_than_heuristic () =
   List.iter
     (fun (name, g, alloc) ->
-      let heuristic = Dcsa.schedule ~tc g alloc in
+      let heuristic = Engine.run ~case1:true ~tc g alloc in
       let exact = Exact.schedule ~tc g alloc in
       Alcotest.(check bool) (name ^ " exact <= heuristic") true
         (exact.schedule.makespan <= heuristic.makespan +. 1e-9))
@@ -635,7 +664,7 @@ let test_exact_node_limit () =
   Alcotest.(check int) "explored stops at the budget" 50 bounded.explored;
   Alcotest.(check bool) "still returns the heuristic incumbent" true
     (bounded.schedule.makespan
-    <= (Dcsa.schedule ~tc g alloc).makespan +. 1e-9)
+    <= (Engine.run ~case1:true ~tc g alloc).makespan +. 1e-9)
 
 let test_search_api () =
   let g = case1_graph () in
@@ -667,7 +696,7 @@ let prop_exact_bounds_heuristic =
         (int_bound 500))
     (fun (g, alloc) ->
       let exact = Exact.schedule ~fuel:50_000 ~tc g alloc in
-      let heuristic = Dcsa.schedule ~tc g alloc in
+      let heuristic = Engine.run ~case1:true ~tc g alloc in
       Check.is_legal ~tc exact.schedule
       && exact.schedule.makespan <= heuristic.makespan +. 1e-9)
 
@@ -688,7 +717,7 @@ let prop_exact_oracle_up_to_12_ops =
         (int_bound 10) (int_bound 1000))
     (fun (g, alloc) ->
       let exact = Exact.schedule ~fuel:30_000 ~tc g alloc in
-      let heuristic = Dcsa.schedule ~tc g alloc in
+      let heuristic = Engine.run ~case1:true ~tc g alloc in
       Check.validate ~tc exact.schedule = []
       && exact.schedule.makespan <= heuristic.makespan +. 1e-9
       && exact.heuristic_makespan = heuristic.makespan
@@ -752,7 +781,7 @@ let test_exact_independent_ops_bound_tight () =
 let test_exact_fuel_exhaustion_keeps_incumbent () =
   let g = Mfb_bioassay.Benchmarks.fig2_example () in
   let alloc = Allocation.of_vector (3, 1, 0, 1) in
-  let heuristic = Dcsa.schedule ~tc g alloc in
+  let heuristic = Engine.run ~case1:true ~tc g alloc in
   let e = Exact.schedule ~fuel:1 ~tc g alloc in
   Alcotest.(check bool) "truncated" true e.truncated;
   Alcotest.(check bool) "not optimal" false e.optimal;
@@ -784,7 +813,7 @@ let test_portfolio_bit_identical_to_selected () =
           let sched, d = Portfolio.race ~fuel ~tc g alloc in
           let reference =
             match d.selected with
-            | Portfolio.Heuristic_arm -> Dcsa.schedule ~tc g alloc
+            | Portfolio.Heuristic_arm -> Engine.run ~case1:true ~tc g alloc
             | Portfolio.Exact_arm ->
               (Exact.schedule ~fuel ~tc g alloc).Exact.schedule
           in
@@ -819,7 +848,7 @@ let test_portfolio_never_worse_than_either_arm () =
   List.iter
     (fun (name, g, alloc) ->
       let sched, d = Portfolio.race ~fuel:20_000 ~tc g alloc in
-      let heuristic = Dcsa.schedule ~tc g alloc in
+      let heuristic = Engine.run ~case1:true ~tc g alloc in
       Alcotest.(check bool) (name ^ " <= heuristic") true
         (sched.Types.makespan <= heuristic.makespan +. 1e-9);
       Alcotest.(check (float 0.)) (name ^ " heuristic makespan recorded")
@@ -859,7 +888,7 @@ module Multi_start = Mfb_schedule.Multi_start
 let test_multistart_never_worse () =
   List.iter
     (fun (g, alloc) ->
-      let single = Dcsa.schedule ~tc g alloc in
+      let single = Engine.run ~case1:true ~tc g alloc in
       let multi =
         Multi_start.schedule ~restarts:8 ~rng:(Mfb_util.Rng.create 3) ~tc g
           alloc
@@ -876,7 +905,7 @@ let test_multistart_never_worse () =
 
 let test_multistart_zero_noise_identity () =
   let g, alloc = List.nth (Testkit.suite_instances ()) 2 in
-  let single = Dcsa.schedule ~tc g alloc in
+  let single = Engine.run ~case1:true ~tc g alloc in
   let multi =
     Multi_start.schedule ~restarts:4 ~noise:0. ~rng:(Mfb_util.Rng.create 1)
       ~tc g alloc
@@ -909,7 +938,7 @@ let test_utilization_cross_check () =
   (* Recompute Eq. 1 independently from the raw times. *)
   List.iter
     (fun (g, alloc) ->
-      let sched = Dcsa.schedule ~tc g alloc in
+      let sched = Engine.run ~case1:true ~tc g alloc in
       let n = Array.length sched.components in
       let manual =
         let per_component c =
@@ -951,7 +980,7 @@ let test_utilization_cross_check () =
 
 let test_export_json () =
   let g, alloc = List.hd (Testkit.suite_instances ()) in
-  let sched = Dcsa.schedule ~tc g alloc in
+  let sched = Engine.run ~case1:true ~tc g alloc in
   let json = Mfb_schedule.Export.to_string sched in
   List.iter
     (fun needle ->
@@ -975,7 +1004,7 @@ let test_export_json () =
 
 let test_checker_detects_overlap () =
   let g, alloc = List.hd (Testkit.suite_instances ()) in
-  let sched = Dcsa.schedule ~tc g alloc in
+  let sched = Engine.run ~case1:true ~tc g alloc in
   (* Corrupt: force two ops onto one component at the same time. *)
   let times = Array.copy sched.times in
   times.(1) <- { (times.(0)) with in_place_parent = None };
@@ -985,7 +1014,7 @@ let test_checker_detects_overlap () =
 
 let test_checker_detects_bad_makespan () =
   let g, alloc = List.hd (Testkit.suite_instances ()) in
-  let sched = Dcsa.schedule ~tc g alloc in
+  let sched = Engine.run ~case1:true ~tc g alloc in
   let bad = { sched with makespan = sched.makespan +. 100. } in
   Alcotest.(check bool) "makespan violation" true
     (List.exists
