@@ -1,5 +1,3 @@
-module Telemetry = Mfb_util.Telemetry
-
 type config = {
   timeout : float;
   hb_timeout : float;
@@ -43,8 +41,6 @@ type 'job pending = {
   mutable attempts : int;       (* failed attempts so far *)
 }
 
-let bump name = Telemetry.incr ~cat:"cluster" name
-
 let run_batch ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
   let n = List.length jobs in
   let results = Array.make n None in
@@ -56,7 +52,6 @@ let run_batch ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
   in
   let degrade_job p =
     stats.degraded <- stats.degraded + 1;
-    bump "degraded";
     results.(p.index) <-
       Some (degrade p.job, { m_slot = None; m_attempts = p.attempts + 1 })
   in
@@ -68,15 +63,11 @@ let run_batch ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
     p.excluded <- slot :: p.excluded;
     p.attempts <- p.attempts + 1;
     if p.attempts > cfg.max_retries then degrade_job p
-    else begin
-      stats.retries <- stats.retries + 1;
-      bump "retries"
-    end
+    else stats.retries <- stats.retries + 1
   in
   let garbage p slot =
     fault p slot ~outcome:"garbage" ~counter:(fun () ->
-        stats.garbage <- stats.garbage + 1;
-        bump "garbage")
+        stats.garbage <- stats.garbage + 1)
   in
   Supervisor.tick sup;
   if cfg.heartbeat then
@@ -84,7 +75,6 @@ let run_batch ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
       (fun (slot, w) ->
         if not (Worker_proc.ping ~timeout:cfg.hb_timeout w) then begin
           stats.heartbeat_failures <- stats.heartbeat_failures + 1;
-          bump "heartbeat_failures";
           Supervisor.fail ~outcome:"heartbeat" sup slot
         end)
       (Supervisor.live sup);
@@ -127,8 +117,7 @@ let run_batch ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
             | Ok () -> Some (p, slot, w, wire_id)
             | Error _ ->
               fault p slot ~outcome:"crash" ~counter:(fun () ->
-                  stats.crashes <- stats.crashes + 1;
-                  bump "crashes");
+                  stats.crashes <- stats.crashes + 1);
               None)
           wave
       in
@@ -144,18 +133,15 @@ let run_batch ~cfg ~sup ~stats ~degrade ~to_line ~of_line jobs =
                    ( payload,
                      { m_slot = Some slot; m_attempts = p.attempts + 1 } );
                stats.dispatched <- stats.dispatched + 1;
-               bump "dispatched";
                Supervisor.succeed sup slot
              | None -> garbage p slot)
           | Worker_proc.Oversized _ -> garbage p slot
           | Worker_proc.Timeout ->
             fault p slot ~outcome:"timeout" ~counter:(fun () ->
-                stats.timeouts <- stats.timeouts + 1;
-                bump "timeouts")
+                stats.timeouts <- stats.timeouts + 1)
           | Worker_proc.Eof ->
             fault p slot ~outcome:"crash" ~counter:(fun () ->
-                stats.crashes <- stats.crashes + 1;
-                bump "crashes"))
+                stats.crashes <- stats.crashes + 1))
         sent;
       pending := List.filter (fun p -> results.(p.index) = None) !pending;
       (* advance virtual time so backoffs expire and slots respawn *)

@@ -70,5 +70,4 @@ val run_batch :
     [to_line] serializes a job as a wire request carrying [wire_id];
     [of_line] parses a response line read from [slot], returning [None]
     unless it is a well-formed answer to [wire_id] (triggering the
-    garbage path).  Counter increments mirror into
-    {!Mfb_util.Telemetry} under the ["cluster"] category. *)
+    garbage path). *)

@@ -1,5 +1,3 @@
-module Telemetry = Mfb_util.Telemetry
-
 type slot_state =
   | Due of int  (* spawn when the tick counter reaches this value *)
   | Running of Worker_proc.t
@@ -54,15 +52,13 @@ let try_spawn t slot =
   | w ->
     if t.spawned_once.(slot) then begin
       t.respawns_ <- t.respawns_ + 1;
-      t.slot_respawns.(slot) <- t.slot_respawns.(slot) + 1;
-      Telemetry.incr ~cat:"cluster" "respawns"
+      t.slot_respawns.(slot) <- t.slot_respawns.(slot) + 1
     end;
     t.spawned_once.(slot) <- true;
     t.slots.(slot) <- Running w
   | exception (Unix.Unix_error _ | Invalid_argument _ | Sys_error _) ->
     t.spawn_failures_ <- t.spawn_failures_ + 1;
     t.last_outcome.(slot) <- "spawn-failure";
-    Telemetry.incr ~cat:"cluster" "spawn_failures";
     schedule_respawn t slot
 
 let tick t =

@@ -100,13 +100,15 @@ type t = {
      Small and separate from the summary cache: a full result holds the
      routed grid and schedule, not just scalar metrics. *)
   full : (Cache_key.t, Mfb_core.Result.t) Lru.t option;
-  (* Similarity index over previously computed jobs.  Entries hold the
-     resolved *job*, never its result: on a near-hit the candidate's
-     full result is looked up in [full] and, when evicted, re-derived
-     cold — deterministically byte-identical to the original run — so
-     warm-start decisions and payloads are a pure function of the
-     request script whatever the cache temperature or dispatch mode. *)
-  sim : job Sim_index.t option;
+  (* Similarity candidates: previously computed jobs with their
+     fingerprints, newest first (never [find]-touched, so recency is
+     insertion order).  Entries hold the resolved *job*, never its
+     result: on a near-hit the candidate's full result is looked up in
+     [full] and, when evicted, re-derived cold — deterministically
+     byte-identical to the original run — so warm-start decisions and
+     payloads are a pure function of the request script whatever the
+     cache temperature or dispatch mode. *)
+  sim : (Cache_key.t, Sim_index.fp * job) Lru.t option;
   specs : (string, job) Hashtbl.t;  (* accepted id -> resolved job *)
   queue : job Job_queue.t;
   outcomes : (string, outcome) Hashtbl.t;
@@ -140,18 +142,13 @@ let create cfg =
     cfg;
     cache =
       (if cfg.cache_capacity = 0 then None
-       else Some (Lru.create ~name:"results" ~capacity:cfg.cache_capacity ()));
+       else Some (Lru.create ~capacity:cfg.cache_capacity ()));
     full =
       (if cfg.repair_cache = 0 then None
-       else
-         Some (Lru.create ~name:"full-results" ~capacity:cfg.repair_cache ()));
+       else Some (Lru.create ~capacity:cfg.repair_cache ()));
     sim =
       (if not cfg.similarity then None
-       else
-         Some
-           (Sim_index.create
-              ~capacity:(max 16 cfg.cache_capacity)
-              ~threshold:sim_threshold ()));
+       else Some (Lru.create ~capacity:(max 16 cfg.cache_capacity) ()));
     specs = Hashtbl.create 64;
     queue = Job_queue.create ~depth:cfg.queue_depth ();
     outcomes = Hashtbl.create 64;
@@ -455,7 +452,6 @@ let shed_expired t ~batch dead =
   List.iter
     (fun (it : job Job_queue.item) ->
       t.shed_deadline <- t.shed_deadline + 1;
-      Telemetry.incr ~cat:"serve" "shed.deadline";
       Hashtbl.replace t.outcomes it.id
         (Shed
            (Printf.sprintf
@@ -484,7 +480,7 @@ let dedup dispatched =
     dispatched
 
 (* Warm starts: fingerprint each unique [`Ours] job and warm-start it
-   from the full result of its nearest indexed job.  Seeds resolve on
+   from the full result of its nearest candidate.  Seeds resolve on
    the server thread — [full_result_of] touches the LRUs and
    re-synthesizes cold on eviction, keeping the seed a pure function of
    the request script — then the warm syntheses fan out on the pool.
@@ -496,6 +492,7 @@ let warm_starts t unique =
   | None -> List.map (fun it -> (it, None, None)) unique
   | Some sim ->
     let wall0 = Unix.gettimeofday () in
+    let candidates = Lru.bindings sim in
     let planned =
       List.map
         (fun (it : job Job_queue.item) ->
@@ -509,7 +506,8 @@ let warm_starts t unique =
                    ~graph:job.graph ~allocation:job.allocation ())
           in
           let seed =
-            Option.bind fp (Sim_index.nearest sim job.key)
+            Option.bind fp
+              (Sim_index.nearest ~threshold:sim_threshold candidates job.key)
             |> Option.map (fun (_, cjob, _) -> full_result_of t cjob)
           in
           (it, fp, seed))
@@ -537,11 +535,9 @@ let warm_starts t unique =
           match outcome with
           | Error _ ->
             t.warm_fallbacks <- t.warm_fallbacks + 1;
-            Telemetry.incr ~cat:"serve" "warm.fallbacks";
             (it, fp, None)
           | Ok (full, _report) ->
             t.near_hits <- t.near_hits + 1;
-            Telemetry.incr ~cat:"serve" "near.hits";
             (* like repairs: a warm start whose seed sat in the full LRU
                costs 1 virtual tick, one whose seed had to be cold
                re-synthesized costs 2 — the histogram is a deterministic
@@ -605,10 +601,10 @@ let cold_runs t warmed =
          { item; fp; warm = false; full_result; res })
        cold results)
 
-(* Record outcomes, both LRUs and the similarity index.  Every job
+(* Record outcomes, both LRUs and the similarity candidates.  Every job
    computed without failure (cold, warm or fleet-dispatched) becomes a
-   future warm-start seed; index entries carry the resolved job, not
-   the result, so the index is identical on every transport. *)
+   future warm-start seed; candidates carry the resolved job, not the
+   result, so they are identical on every transport. *)
 let record t computed =
   t.computed <- t.computed + List.length computed;
   List.iter
@@ -622,7 +618,7 @@ let record t computed =
          | Some lru, Some r -> Lru.add lru job.key r
          | _ -> ());
         (match (t.sim, c.fp) with
-         | Some sim, Some fp -> Sim_index.add sim job.key fp job
+         | Some sim, Some fp -> Lru.add sim job.key (fp, job)
          | _ -> ());
         Hashtbl.replace t.outcomes c.item.id
           (Done { key = job.key; payload }))
@@ -633,21 +629,16 @@ let computed_for computed (it : job Job_queue.item) =
     (fun c -> Cache_key.equal c.item.payload.key it.payload.key)
     computed
 
-(* Batch duplicates: the [Lru.find] finds the entry [record] just
-   added for the key's run and counts the reuse as a hit. *)
+(* Batch duplicates take their key's run's answer.  Their admission
+   already counted a cache miss, so they do not ask the cache again. *)
 let answer_duplicates t computed dispatched =
   List.iter
     (fun (it : job Job_queue.item) ->
-      if not (Hashtbl.mem t.outcomes it.id) then begin
-        let key = it.payload.key in
+      if not (Hashtbl.mem t.outcomes it.id) then
         Hashtbl.replace t.outcomes it.id
-          (match Option.bind t.cache (fun c -> Lru.find c key) with
-           | Some payload -> Done { key; payload }
-           | None ->
-             (match (Option.get (computed_for computed it)).res.d_payload with
-              | Ok payload -> Done { key; payload }
-              | Error reason -> Shed reason))
-      end)
+          (match (Option.get (computed_for computed it)).res.d_payload with
+           | Ok payload -> Done { key = it.payload.key; payload }
+           | Error reason -> Shed reason))
     dispatched
 
 (* Batch duplicates share the fleet attribution of their key's run, but
@@ -678,7 +669,6 @@ let observe t ~batch computed dispatched =
 
 let process_batch t =
   t.tick <- t.tick + 1;
-  Telemetry.incr ~cat:"serve" "batches";
   let batch = t.tick in
   let dispatched, dead =
     Job_queue.pop_batch t.queue ~now:t.tick ~max:t.cfg.batch
@@ -910,13 +900,11 @@ let handle_submit t ~id ~priority ~deadline ~flow ~spec ~overrides =
           with
           | Job_queue.Refused reason ->
             t.rejected <- t.rejected + 1;
-            Telemetry.incr ~cat:"serve" "rejected";
             rejected ~job "queue full" reason
           | admission ->
             (match admission with
              | Job_queue.Displaced shed ->
                t.shed_displaced <- t.shed_displaced + 1;
-               Telemetry.incr ~cat:"serve" "shed.displaced";
                Hashtbl.replace t.outcomes shed.id
                  (Shed
                     (Printf.sprintf
@@ -928,8 +916,6 @@ let handle_submit t ~id ~priority ~deadline ~flow ~spec ~overrides =
                  ~compute_ticks:0 ()
              | _ -> ());
             ignore (accept job);
-            Telemetry.gauge ~cat:"serve" "queue.depth"
-              (float_of_int (Job_queue.length t.queue));
             while Job_queue.length t.queue >= t.cfg.batch do
               process_batch t
             done;

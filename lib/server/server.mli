@@ -43,9 +43,10 @@
 
     {2 Similarity & warm start}
 
-    With [similarity] enabled, every computed job is fingerprinted into
-    a {!Sim_index}; a later batch job within edit distance 8 of a cached
-    one is {e warm-started} ({!Mfb_repair.Warm.synthesize}): cached
+    With [similarity] enabled, every computed job is fingerprinted
+    ({!Sim_index}) and kept as a candidate in an LRU of
+    [max 16 cache_capacity] entries; a later batch job within edit
+    distance 8 of a candidate is {e warm-started} ({!Mfb_repair.Warm.synthesize}): cached
     placement reused, intact routes replayed, invalidated transports
     re-routed through the repair ladder, with a legality and
     {!warm_delta} quality proof obligation and cold fallback.  Such a request finishes with outcome ["near-hit"]
@@ -54,7 +55,7 @@
     and [dcsa_warm_latency] histogram, all absent until the first
     near-hit or fallback so similarity-free transcripts keep their
     bytes.  Warm-start decisions and payloads are a pure function of
-    the request script: the index stores resolved jobs (never results),
+    the request script: candidates are resolved jobs (never results),
     and an evicted seed is re-synthesized cold, byte-identical to its
     original run. *)
 

@@ -10,11 +10,11 @@
    pair incomparable, because a cached placement over a different
    component set cannot seed a warm start at all.
 
-   The index itself is a small bounded table scanned linearly: entries
-   are cheap (a fingerprint plus the caller's payload, not a synthesis
-   result), lookups are O(entries x ops), and everything is
+   [nearest] scans the caller's newest-first candidates linearly:
+   candidates are cheap (a fingerprint plus the caller's payload, not a
+   synthesis result), lookups are O(candidates x ops), and everything is
    deterministic — ties break towards the exact key, then towards the
-   most recently added entry. *)
+   newer candidate. *)
 
 module Seq_graph = Mfb_bioassay.Seq_graph
 
@@ -108,58 +108,22 @@ let distance (q : fp) (c : fp) =
       }
   end
 
-(* --- the bounded index --- *)
-
-type 'a entry = { e_key : Cache_key.t; e_fp : fp; e_payload : 'a }
-
-type 'a t = {
-  capacity : int;
-  threshold : int;
-  mutable entries : 'a entry list;  (* most recently added first *)
-}
-
-let create ?(capacity = 64) ~threshold () =
-  if capacity < 1 then invalid_arg "Sim_index.create: capacity < 1";
-  if threshold < 0 then invalid_arg "Sim_index.create: threshold < 0";
-  { capacity; threshold; entries = [] }
-
-let length t = List.length t.entries
-let threshold t = t.threshold
-let mem t key = List.exists (fun e -> Cache_key.equal e.e_key key) t.entries
-
-let remove t key =
-  t.entries <-
-    List.filter (fun e -> not (Cache_key.equal e.e_key key)) t.entries
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | e :: rest -> e :: take (n - 1) rest
-
-let add t key fp payload =
-  remove t key;
-  t.entries <- take t.capacity ({ e_key = key; e_fp = fp; e_payload = payload } :: t.entries)
-
-(* Linear scan for the closest comparable entry within the threshold.
-   Strictly-closer wins; at equal distance the earlier (more recently
-   added) entry is kept, except that the query's own key always wins its
-   distance class — so an exact re-submission finds exactly the entry
-   [Cache_key] would. *)
-let nearest t key fp =
-  let best =
-    List.fold_left
-      (fun best e ->
-        match distance fp e.e_fp with
-        | None -> best
-        | Some d when d.distance > t.threshold -> best
-        | Some d ->
-          (match best with
-           | Some (_, bd) when bd.distance < d.distance -> best
-           | Some (be, bd)
-             when bd.distance = d.distance
-                  && not (Cache_key.equal e.e_key key) ->
-             Some (be, bd)
-           | _ -> Some (e, d)))
-      None t.entries
-  in
-  Option.map (fun (e, d) -> (e.e_key, e.e_payload, d)) best
+(* Linear scan for the closest comparable candidate within the
+   threshold.  Strictly-closer wins; at equal distance the earlier
+   (newer) candidate is kept, except that the query's own key always
+   wins its distance class — so an exact re-submission finds exactly the
+   entry [Cache_key] would. *)
+let nearest ~threshold candidates key fp =
+  List.fold_left
+    (fun best (ckey, (cfp, payload)) ->
+      match distance fp cfp with
+      | None -> best
+      | Some d when d.distance > threshold -> best
+      | Some d ->
+        (match best with
+         | Some (_, _, bd) when bd.distance < d.distance -> best
+         | Some (_, _, bd)
+           when bd.distance = d.distance && not (Cache_key.equal ckey key) ->
+           best
+         | _ -> Some (ckey, payload, d)))
+    None candidates

@@ -1,5 +1,5 @@
-(** Similarity index over cached synthesis requests — the lookup side of
-    the warm-start cache.
+(** Similarity fingerprints over cached synthesis requests — the lookup
+    side of the warm-start cache.
 
     {!Cache_key} folds the whole request into one word, so it can only
     answer {e exact} re-submissions.  A {!fp} keeps the intermediate
@@ -23,13 +23,11 @@
     whitespace and ordering away), and two requests with equal
     {!Cache_key}s always have distance 0.
 
-    The index is a bounded, insertion-ordered table of
-    (key, fingerprint, payload) entries scanned linearly — entries are
-    small (no synthesis results), and determinism matters more than
-    asymptotics at serving batch sizes.  Everything is a pure function
-    of the sequence of [add]/[remove] calls: no clocks, no hashing
-    nondeterminism, ties broken by recency with the query's own key
-    winning its distance class. *)
+    {!nearest} scans a newest-first candidate list linearly — candidates
+    are small (no synthesis results), and determinism matters more than
+    asymptotics at serving batch sizes.  The answer is a pure function
+    of the list: no clocks, no hashing nondeterminism, ties broken by
+    recency with the query's own key winning its distance class. *)
 
 type fp
 (** A similarity fingerprint. *)
@@ -60,31 +58,18 @@ val distance : fp -> fp -> diff option
     and the metric is symmetric in the [distance] field (though
     [changed_ops] names query-side ops). *)
 
-type 'a t
-(** A bounded similarity index carrying ['a] payloads (the server
-    stores the resolved job, {e not} the result — results live in the
-    LRUs and are re-derived deterministically when evicted). *)
-
-val create : ?capacity:int -> threshold:int -> unit -> 'a t
-(** Bounded at [capacity] (default 64) entries, oldest dropped first.
-    [nearest] only answers within [threshold] distance.
-    @raise Invalid_argument when [capacity < 1] or [threshold < 0]. *)
-
-val add : 'a t -> Cache_key.t -> fp -> 'a -> unit
-(** Insert (or refresh) an entry; the same key is kept at most once. *)
-
-val remove : 'a t -> Cache_key.t -> unit
-
-val mem : 'a t -> Cache_key.t -> bool
-
-val length : 'a t -> int
-
-val threshold : 'a t -> int
-
-val nearest : 'a t -> Cache_key.t -> fp -> (Cache_key.t * 'a * diff) option
-(** [nearest t key fp] is the closest comparable entry within the
-    threshold, or [None].  Strictly closer wins; at equal distance the
-    most recently added entry wins, except that an entry whose key
-    equals [key] always wins its distance class — so when the exact key
-    is present, [nearest] returns it with distance 0, agreeing with a
-    {!Cache_key} exact hit. *)
+val nearest :
+  threshold:int ->
+  (Cache_key.t * (fp * 'a)) list ->
+  Cache_key.t ->
+  fp ->
+  (Cache_key.t * 'a * diff) option
+(** [nearest ~threshold candidates key fp] is the closest comparable
+    candidate within [threshold] distance, or [None].  [candidates] are
+    (key, (fingerprint, payload)) bindings, newest first — the server
+    keeps them in an {!Mfb_util.Lru} and passes {!Mfb_util.Lru.bindings}
+    (the payload is the resolved job, {e not} the result).  Strictly
+    closer wins; at equal distance the newer candidate wins, except that
+    a candidate whose key equals [key] always wins its distance class —
+    so when the exact key is present, [nearest] returns it with distance
+    0, agreeing with a {!Cache_key} exact hit. *)

@@ -14,7 +14,6 @@ type ('k, 'v) node = {
 type stats = { hits : int; misses : int; evictions : int }
 
 type ('k, 'v) t = {
-  name : string;
   cap : int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;
@@ -24,10 +23,9 @@ type ('k, 'v) t = {
   mutable evictions : int;
 }
 
-let create ?(name = "lru") ~capacity () =
+let create ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1";
   {
-    name;
     cap = capacity;
     table = Hashtbl.create (min capacity 64);
     head = None;
@@ -63,19 +61,14 @@ let touch t node =
     unlink t node;
     push_front t node
 
-let count t what =
-  Telemetry.incr ~cat:"cache" (t.name ^ "." ^ what)
-
 let find t k =
   match Hashtbl.find_opt t.table k with
   | Some node ->
     t.hits <- t.hits + 1;
-    count t "hit";
     touch t node;
     Some node.value
   | None ->
     t.misses <- t.misses + 1;
-    count t "miss";
     None
 
 let evict_lru t =
@@ -84,8 +77,7 @@ let evict_lru t =
   | Some node ->
     unlink t node;
     Hashtbl.remove t.table node.key;
-    t.evictions <- t.evictions + 1;
-    count t "eviction"
+    t.evictions <- t.evictions + 1
 
 let add t k v =
   match Hashtbl.find_opt t.table k with
@@ -112,9 +104,9 @@ let clear t =
 
 let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions }
 
-let keys_mru_first t =
+let bindings t =
   let rec walk acc = function
     | None -> List.rev acc
-    | Some node -> walk (node.key :: acc) node.next
+    | Some node -> walk ((node.key, node.value) :: acc) node.next
   in
   walk [] t.head

@@ -9,13 +9,7 @@
     {!stats} counters are pure functions of that sequence.
 
     Not domain-safe — confine one cache to one domain (the server owns
-    its cache on the dispatching domain; pool workers never touch it).
-
-    When a {!Telemetry} sink is installed, every hit / miss / eviction
-    also bumps a counter under cat ["cache"] named
-    [<name>.hit] / [<name>.miss] / [<name>.eviction], so cache
-    behaviour lands in the same deterministic metric aggregates as the
-    rest of the flow. *)
+    its cache on the dispatching domain; pool workers never touch it). *)
 
 type ('k, 'v) t
 
@@ -25,9 +19,9 @@ type stats = {
   evictions : int;   (** entries dropped by capacity pressure *)
 }
 
-val create : ?name:string -> capacity:int -> unit -> ('k, 'v) t
+val create : capacity:int -> unit -> ('k, 'v) t
 (** [create ~capacity ()] is an empty cache holding at most [capacity]
-    entries.  [name] (default ["lru"]) prefixes the telemetry counters.
+    entries.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val capacity : ('k, 'v) t -> int
@@ -51,6 +45,6 @@ val clear : ('k, 'v) t -> unit
 
 val stats : ('k, 'v) t -> stats
 
-val keys_mru_first : ('k, 'v) t -> 'k list
-(** Resident keys, most recently used first (for tests and
-    introspection). *)
+val bindings : ('k, 'v) t -> ('k * 'v) list
+(** Resident bindings, most recently used first.  A walk, not a use:
+    recency and counters are left as they were. *)

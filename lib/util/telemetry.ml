@@ -25,7 +25,7 @@ type event = {
 
 type summary = { count : int; sum : float; min : float; max : float }
 
-type data = Counter of int | Gauge of float | Histogram of summary
+type data = Counter of int | Histogram of summary
 
 type metric = { mcat : string; mname : string; mdata : data }
 
@@ -45,7 +45,6 @@ type collector = {
   mutable depth : int;
   mutable next_scope : int;
   counters : (string * string, int ref) Hashtbl.t;
-  gauges : (string * string, float * (int list * int)) Hashtbl.t;
   hists : (string * string, hist_acc) Hashtbl.t;
 }
 
@@ -64,7 +63,6 @@ let new_collector sink ~path ~name =
     { sink; path; track_name = name; seq = 0; events = []; depth = 0;
       next_scope = 0;
       counters = Hashtbl.create 16;
-      gauges = Hashtbl.create 8;
       hists = Hashtbl.create 8 }
   in
   Mutex.lock sink.lock;
@@ -159,13 +157,6 @@ let sample ?(cat = "counter") name v =
     | Some c ->
       emit c ~cat ~name ~ts_us:(now_us c) ~ph:(Sample v) ~depth:c.depth
         ~args:[]
-
-let gauge ?(cat = "gauge") name v =
-  if active () then
-    match current () with
-    | None -> ()
-    | Some c ->
-      Hashtbl.replace c.gauges (cat, name) (v, (c.path, next_seq c))
 
 let observe ?(cat = "hist") name v =
   if active () then
@@ -389,7 +380,6 @@ let is_prefix prefix path =
 
 let merge_metrics cols =
   let counters = Hashtbl.create 32 in
-  let gauges = Hashtbl.create 16 in
   let hists = Hashtbl.create 16 in
   let merge_one c =
     (* Hashtbl fold order is arbitrary but keys are disjoint per fold
@@ -401,12 +391,6 @@ let merge_metrics cols =
         | Some acc -> acc := !acc + !r
         | None -> Hashtbl.add counters k (ref !r))
       c.counters;
-    Hashtbl.iter
-      (fun k (v, ord) ->
-        match Hashtbl.find_opt gauges k with
-        | Some (_, ord') when ord' > ord -> ()
-        | Some _ | None -> Hashtbl.replace gauges k (v, ord))
-      c.gauges;
     Hashtbl.iter
       (fun k (h : hist_acc) ->
         match Hashtbl.find_opt hists k with
@@ -426,10 +410,6 @@ let merge_metrics cols =
   Hashtbl.iter
     (fun (mcat, mname) r -> out := { mcat; mname; mdata = Counter !r } :: !out)
     counters;
-  Hashtbl.iter
-    (fun (mcat, mname) (v, _) ->
-      out := { mcat; mname; mdata = Gauge v } :: !out)
-    gauges;
   Hashtbl.iter
     (fun (mcat, mname) h ->
       out :=
@@ -622,24 +602,12 @@ let to_chrome_json ?(process_name = "dcsa-synth") sink =
     [ ("traceEvents", Json.List (meta @ evs));
       ("displayTimeUnit", Json.String "ms") ]
 
-let to_jsonl sink =
-  let tids, _ = track_ids sink in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Json.to_string (event_to_json ~tid:(Hashtbl.find tids e.track) e));
-      Buffer.add_char buf '\n')
-    (events sink);
-  Buffer.contents buf
-
 (* --- metric rendering --- *)
 
 let summary_mean s = if s.count = 0 then Float.nan else s.sum /. float s.count
 
 let metric_value_string = function
   | Counter n -> string_of_int n
-  | Gauge v -> Printf.sprintf "%g" v
   | Histogram s ->
     Printf.sprintf "n=%d mean=%.4g min=%g max=%g" s.count (summary_mean s)
       s.min s.max
@@ -651,7 +619,6 @@ let metrics_to_json ms =
          let v =
            match m.mdata with
            | Counter n -> Json.Int n
-           | Gauge v -> Json.Float v
            | Histogram s ->
              Json.Obj
                [ ("count", Json.Int s.count);

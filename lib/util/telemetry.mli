@@ -34,7 +34,7 @@ type event = {
 type summary = { count : int; sum : float; min : float; max : float }
 (** Histogram digest; [min]/[max] are [nan] when [count = 0]. *)
 
-type data = Counter of int | Gauge of float | Histogram of summary
+type data = Counter of int | Histogram of summary
 
 type metric = { mcat : string; mname : string; mdata : data }
 
@@ -89,11 +89,6 @@ val incr : ?cat:string -> ?by:int -> string -> unit
 val sample : ?cat:string -> string -> float -> unit
 (** Emit one point of a counter time-series (Chrome ["C"] event).
     Trace-only; does not feed the metric aggregates. *)
-
-val gauge : ?cat:string -> string -> float -> unit
-(** Record a last-value-wins aggregate.  The merged winner is the write
-    with the greatest (track path, seq), i.e. the program-order last
-    write in deterministic task order. *)
 
 val observe : ?cat:string -> string -> float -> unit
 (** Feed one observation into a histogram aggregate. *)
@@ -213,11 +208,7 @@ val to_chrome_json : ?process_name:string -> sink -> Json.t
     mapped to dense [tid]s in track order and named via ["thread_name"]
     metadata events. *)
 
-val to_jsonl : sink -> string
-(** One JSON object per line, same event mapping as the Chrome export
-    (without metadata records). *)
-
 val metrics_to_json : metric list -> Json.t
 val metric_value_string : data -> string
-(** Compact rendering for tables: ["1234"], ["3.25"], or
+(** Compact rendering for tables: ["1234"] or
     ["n=88 mean=12.4 min=3 max=40"]. *)

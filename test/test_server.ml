@@ -982,6 +982,93 @@ let test_latency_histogram_tracks_requests () =
   Alcotest.(check bool) "max latency >= 1 tick (compute)" true
     (Mfb_util.Histogram.max_value h >= 1.0)
 
+let stat_int stats path =
+  match
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats) path
+  with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "stats lack %s" (String.concat "." path)
+
+let test_batch_duplicate_counts_once () =
+  (* Both submits queue behind one cache miss each; the batch runs the
+     key once and answers the duplicate from that run, so the cache
+     counts two misses and no hit: one count per admission. *)
+  let s = server () in
+  let c = Client.in_process s in
+  ignore (call_exn c (submit ~id:"a" pcr));
+  ignore (call_exn c (submit ~id:"b" pcr));
+  let payload id =
+    match call_exn c (P.Result id) with
+    | P.Job_result { result; _ } -> Json.to_string result
+    | r -> Alcotest.failf "result %s: %s" id (P.response_to_line r)
+  in
+  let b = payload "b" in
+  Alcotest.(check string) "duplicate answered with its key's run" (payload "a")
+    b;
+  let stats = Server.stats_json s in
+  Alcotest.(check (list int)) "submitted, computed, hits, misses" [ 2; 1; 0; 2 ]
+    (List.map (stat_int stats)
+       [ [ "submitted" ]; [ "computed" ]; [ "cache"; "hits" ];
+         [ "cache"; "misses" ] ])
+
+(* The serving load script: seed 7, 240 PCR submits, each followed by
+   its result, 90% of them repeats of 8 hot job seeds and the rest a
+   fresh seed each.  A caching server must answer every request with
+   the bytes of an uncached one, mostly from the cache, for at least 5x
+   fewer syntheses; both latency histograms observe every request. *)
+let load_script =
+  let rng = Random.State.make [| 7 |] in
+  let fresh = ref 0 in
+  List.init 240 (fun _ ->
+      if Random.State.float rng 1.0 < 0.9 then 1000 + Random.State.int rng 8
+      else begin
+        incr fresh;
+        100_000 + !fresh
+      end)
+
+let replay_load_script ~cache =
+  let s = server ~cache () in
+  let c = Client.in_process s in
+  let payloads =
+    List.mapi
+      (fun i seed ->
+        let id = Printf.sprintf "q%d" i in
+        ignore (call_exn c (submit ~seed:(Some seed) ~id pcr));
+        match call_exn c (P.Result id) with
+        | P.Job_result { result; _ } -> Json.to_string result
+        | r -> Alcotest.failf "result %s: %s" id (P.response_to_line r))
+      load_script
+  in
+  (s, payloads)
+
+let test_load_script () =
+  let cached, cached_payloads = replay_load_script ~cache:128 in
+  let uncached, uncached_payloads = replay_load_script ~cache:0 in
+  Alcotest.(check (list string)) "payloads identical at cache 128 and 0"
+    uncached_payloads cached_payloads;
+  let stats = Server.stats_json cached in
+  let hits = stat_int stats [ "cache"; "hits" ]
+  and misses = stat_int stats [ "cache"; "misses" ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "hit rate %d/%d >= 0.8" hits (hits + misses))
+    true
+    (float_of_int hits >= 0.8 *. float_of_int (hits + misses));
+  List.iter
+    (fun s ->
+      let h = Server.latency_histogram s in
+      let q = Mfb_util.Histogram.quantile h in
+      Alcotest.(check int) "every request observed" 240
+        (Mfb_util.Histogram.count h);
+      Alcotest.(check bool) "p50 <= p95 <= p99" true
+        (q 0.5 <= q 0.95 && q 0.95 <= q 0.99))
+    [ cached; uncached ];
+  let computed s = stat_int (Server.stats_json s) [ "computed" ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "uncached computed %d >= 5 x cached %d" (computed uncached)
+       (computed cached))
+    true
+    (computed uncached >= 5 * computed cached)
+
 (* --- the repair op --- *)
 
 module Defect = Mfb_repair.Defect
@@ -1303,6 +1390,9 @@ let suites =
           test_non_finite_tc_rejected_at_submit;
         Alcotest.test_case "client sa_restarts override capped" `Quick
           test_sa_restarts_override_capped;
+        Alcotest.test_case "batch duplicate counts one miss" `Quick
+          test_batch_duplicate_counts_once;
+        Alcotest.test_case "load script" `Quick test_load_script;
         prop_server_responses_invariant;
       ] );
   ]

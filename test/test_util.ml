@@ -587,7 +587,6 @@ let test_telemetry_disabled_noop () =
     (Telemetry.span "s" (fun () -> 7));
   Telemetry.incr "c";
   Telemetry.observe "h" 1.;
-  Telemetry.gauge "g" 2.;
   Telemetry.sample "s" 3.;
   Telemetry.instant "i";
   let ctx = Telemetry.task_context () in
@@ -619,16 +618,12 @@ let test_telemetry_aggregates () =
         Telemetry.with_scope "s" (fun () ->
             Telemetry.incr ~cat:"c" "x";
             Telemetry.incr ~cat:"c" ~by:4 "x";
-            Telemetry.gauge ~cat:"c" "g" 1.;
-            Telemetry.gauge ~cat:"c" "g" 2.5;
             Telemetry.observe ~cat:"c" "h" 3.;
             Telemetry.observe ~cat:"c" "h" 1.)
       in
       match ms with
-      | [ { Telemetry.mcat = "c"; mname = "g"; mdata = Telemetry.Gauge g };
-          { mcat = "c"; mname = "h"; mdata = Telemetry.Histogram s };
+      | [ { Telemetry.mcat = "c"; mname = "h"; mdata = Telemetry.Histogram s };
           { mcat = "c"; mname = "x"; mdata = Telemetry.Counter n } ] ->
-        check_float "gauge last wins" 2.5 g;
         Alcotest.(check int) "hist count" 2 s.count;
         check_float "hist sum" 4. s.sum;
         check_float "hist min" 1. s.min;
@@ -648,7 +643,6 @@ let test_telemetry_merge_jobs_invariant () =
                    (fun i ->
                      Telemetry.incr ~cat:"m" "n";
                      Telemetry.observe ~cat:"m" "v" (float_of_int i *. 0.1);
-                     Telemetry.gauge ~cat:"m" "last" (float_of_int i);
                      i * i)
                    (List.init 17 Fun.id)))
         in
@@ -661,13 +655,7 @@ let test_telemetry_merge_jobs_invariant () =
         (Printf.sprintf "jobs=%d equals jobs=1" jobs)
         true
         (run jobs = m1))
-    [ 2; 3; 8 ];
-  (* And the gauge winner is the program-order last task, not a race. *)
-  match
-    List.find_opt (fun (m : Telemetry.metric) -> m.mname = "last") m1
-  with
-  | Some { mdata = Telemetry.Gauge g; _ } -> check_float "last task" 16. g
-  | _ -> Alcotest.fail "gauge missing"
+    [ 2; 3; 8 ]
 
 let test_telemetry_chrome_export () =
   with_fake_sink (fun sink ->
@@ -698,20 +686,6 @@ let test_telemetry_chrome_export () =
            Alcotest.(check bool) "metadata" true (has "M")
          | _ -> Alcotest.fail "no traceEvents array"))
 
-let test_telemetry_jsonl () =
-  with_fake_sink (fun sink ->
-      Telemetry.span "a" (fun () -> Telemetry.instant "b");
-      let lines =
-        String.split_on_char '\n' (String.trim (Telemetry.to_jsonl sink))
-      in
-      Alcotest.(check int) "one record per event" 2 (List.length lines);
-      List.iter
-        (fun line ->
-          match Json.of_string line with
-          | Ok (Json.Obj _) -> ()
-          | _ -> Alcotest.failf "bad JSONL line: %s" line)
-        lines)
-
 (* --- Lru --- *)
 
 let test_lru_basics () =
@@ -723,10 +697,10 @@ let test_lru_basics () =
   Alcotest.(check int) "two entries" 2 (Lru.length c);
   Alcotest.(check bool) "find hit" true (Lru.find c "a" = Some 1);
   Alcotest.(check bool) "find miss" true (Lru.find c "z" = None);
-  Alcotest.(check bool) "mem" true (List.mem "b" (Lru.keys_mru_first c));
+  Alcotest.(check bool) "mem" true (List.mem_assoc "b" (Lru.bindings c));
   Lru.remove c "b";
   Alcotest.(check bool) "removed" false
-    (List.mem "b" (Lru.keys_mru_first c));
+    (List.mem_assoc "b" (Lru.bindings c));
   Lru.clear c;
   Alcotest.(check int) "cleared" 0 (Lru.length c);
   Alcotest.check_raises "capacity 0" (Invalid_argument "Lru.create: capacity < 1")
@@ -738,13 +712,13 @@ let test_lru_eviction_order () =
   Lru.add c "b" 2;
   Lru.add c "c" 3;
   (* LRU "a" evicted *)
-  Alcotest.(check (list string)) "b,c resident" [ "c"; "b" ]
-    (Lru.keys_mru_first c);
+  Alcotest.(check (list (pair string int))) "b,c resident"
+    [ ("c", 3); ("b", 2) ] (Lru.bindings c);
   ignore (Lru.find c "b");
   (* "b" now MRU, so adding evicts "c" *)
   Lru.add c "d" 4;
-  Alcotest.(check (list string)) "find refreshes recency" [ "d"; "b" ]
-    (Lru.keys_mru_first c);
+  Alcotest.(check (list (pair string int))) "find refreshes recency"
+    [ ("d", 4); ("b", 2) ] (Lru.bindings c);
   (* replacing a resident key must not evict *)
   Lru.add c "b" 20;
   Alcotest.(check int) "replace keeps size" 2 (Lru.length c);
@@ -752,31 +726,17 @@ let test_lru_eviction_order () =
   let s = Lru.stats c in
   Alcotest.(check int) "evictions" 2 s.Lru.evictions
 
-let test_lru_stats_and_telemetry () =
-  with_fake_sink (fun sink ->
-      let c = Lru.create ~name:"t" ~capacity:1 () in
-      ignore (Lru.find c "a");
-      Lru.add c "a" 1;
-      ignore (Lru.find c "a");
-      Lru.add c "b" 2;
-      let s = Lru.stats c in
-      Alcotest.(check int) "hits" 1 s.Lru.hits;
-      Alcotest.(check int) "misses" 1 s.Lru.misses;
-      Alcotest.(check int) "evictions" 1 s.Lru.evictions;
-      let counters =
-        List.filter_map
-          (fun (m : Telemetry.metric) ->
-            match m.mdata with
-            | Telemetry.Counter n when m.mcat = "cache" -> Some (m.mname, n)
-            | _ -> None)
-          (Telemetry.metrics sink)
-      in
-      List.iter
-        (fun name ->
-          Alcotest.(check bool)
-            (name ^ " counted") true
-            (List.assoc_opt name counters = Some 1))
-        [ "t.hit"; "t.miss"; "t.eviction" ])
+let test_lru_stats () =
+  let c = Lru.create ~capacity:1 () in
+  ignore (Lru.find c "a");
+  Lru.add c "a" 1;
+  ignore (Lru.find c "a");
+  Lru.add c "b" 2;
+  ignore (Lru.bindings c);
+  let s = Lru.stats c in
+  Alcotest.(check int) "hits" 1 s.Lru.hits;
+  Alcotest.(check int) "misses" 1 s.Lru.misses;
+  Alcotest.(check int) "evictions" 1 s.Lru.evictions
 
 (* Model check: an LRU of capacity k holds exactly the last k distinct
    keys of the access sequence (finds of resident keys count as
@@ -797,7 +757,7 @@ let prop_lru_matches_model =
               List.filteri (fun i _ -> i < cap) !model)
         ops;
       Lru.length c = List.length !model
-      && Lru.keys_mru_first c = List.map fst !model
+      && Lru.bindings c = !model
       && List.for_all (fun (k, v) -> Lru.find c k = Some v) !model)
 
 (* --- Histogram --- *)
@@ -1060,7 +1020,7 @@ let suites =
         Alcotest.test_case "basics" `Quick test_lru_basics;
         Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
         Alcotest.test_case "stats and telemetry" `Quick
-          test_lru_stats_and_telemetry;
+          test_lru_stats;
         prop_lru_matches_model;
       ] );
     ( "util.telemetry",
@@ -1075,7 +1035,6 @@ let suites =
         Alcotest.test_case "merge is jobs-invariant" `Quick
           test_telemetry_merge_jobs_invariant;
         Alcotest.test_case "chrome export" `Quick test_telemetry_chrome_export;
-        Alcotest.test_case "jsonl export" `Quick test_telemetry_jsonl;
         Alcotest.test_case "span-tree node round trip" `Quick
           test_telemetry_node_roundtrip;
         Alcotest.test_case "emit_node regrafts a shipped tree" `Quick

@@ -169,11 +169,14 @@ let test_nearest_exact_at_distance_zero =
   qtest ~count:25 "nearest returns the exact entry at distance 0"
     QCheck2.Gen.int (fun salt ->
       let rng = Random.State.make [| salt; 0x54 |] in
-      let idx = Sim_index.create ~threshold:8 () in
       let assays = List.init 5 (fun _ -> mk_assay rng) in
-      List.iteri
-        (fun i a -> Sim_index.add idx (key_of (render a)) (fp_of (render a)) i)
-        assays;
+      (* newest first, as the server's candidate Lru walks them *)
+      let candidates =
+        List.rev
+          (List.mapi
+             (fun i a -> (key_of (render a), (fp_of (render a), i)))
+             assays)
+      in
       let probe = List.nth assays (Random.State.int rng 5) in
       (* probe with a reformatted spelling of an inserted request *)
       let messy =
@@ -182,24 +185,11 @@ let test_nearest_exact_at_distance_zero =
           ~shuffle_rng:rng probe
       in
       let key = key_of messy in
-      match Sim_index.nearest idx key (fp_of messy) with
+      match Sim_index.nearest ~threshold:8 candidates key (fp_of messy) with
       | Some (k, _, d) ->
         (* agrees with a Cache_key exact hit *)
         d.Sim_index.distance = 0 && Cache_key.equal k key
       | None -> false)
-
-let test_index_bounded_and_ordered () =
-  let idx = Sim_index.create ~capacity:2 ~threshold:8 () in
-  let texts =
-    List.map render
-      (List.init 3 (fun i -> mk_assay (Random.State.make [| i; 0x55 |])))
-  in
-  List.iteri (fun i t -> Sim_index.add idx (key_of t) (fp_of t) i) texts;
-  Alcotest.(check int) "bounded" 2 (Sim_index.length idx);
-  Alcotest.(check bool) "oldest evicted" false
-    (Sim_index.mem idx (key_of (List.nth texts 0)));
-  Alcotest.(check bool) "newest kept" true
-    (Sim_index.mem idx (key_of (List.nth texts 2)))
 
 (* --- the warm-vs-cold differential oracle ----------------------------- *)
 
@@ -373,6 +363,70 @@ let test_similarity_off_no_near_hits () =
   Alcotest.(check (pair int int)) "no near path" (0, 0)
     (Server.near_hit_counts s)
 
+(* --- the edit chain ------------------------------------------------------ *)
+
+(* Seed 7: a 12-op chain of alternating mix/heat ops, then 40
+   single-op edits, each bumping one random op's duration by 1..3
+   (wrapping within 3..9).  Consecutive requests are never
+   byte-identical, so none is an exact cache hit, yet each lies within
+   the similarity threshold of its predecessor. *)
+let edit_chain =
+  let rng = Random.State.make [| 7; 0xed17 |] in
+  let a =
+    { durs = Array.init 12 (fun _ -> 3 + Random.State.int rng 7); extra = [] }
+  in
+  let base = render a in
+  base
+  :: List.init 40 (fun _ ->
+         let v = Random.State.int rng 12 in
+         a.durs.(v) <- 3 + ((a.durs.(v) - 3 + 1 + Random.State.int rng 3) mod 7);
+         render a)
+
+let replay_edit_chain ~similarity ~jobs =
+  let s =
+    Server.create
+      { Server.default_config with jobs; cache_capacity = 128; similarity }
+  in
+  let c = Client.in_process s in
+  let payloads =
+    List.mapi
+      (fun i text ->
+        let id = Printf.sprintf "e%d" i in
+        ignore
+          (call_exn c
+             (P.Submit
+                { id; priority = 0; deadline = None; flow = `Ours;
+                  spec = P.Assay { text; alloc = None };
+                  overrides = P.no_overrides; trace = None }));
+        result_bytes c id)
+      edit_chain
+  in
+  (payloads, Server.near_hit_counts s)
+
+let execution_time payload =
+  match Result.map (Json.member "execution_time_s") (Json.of_string payload) with
+  | Ok (Some (Json.Float f)) -> f
+  | Ok (Some (Json.Int i)) -> float_of_int i
+  | _ -> Float.nan
+
+let test_edit_chain () =
+  let warm, counts = replay_edit_chain ~similarity:true ~jobs:1 in
+  let warm2, counts2 = replay_edit_chain ~similarity:true ~jobs:2 in
+  let cold, _ = replay_edit_chain ~similarity:false ~jobs:1 in
+  Alcotest.(check (list string)) "warm payloads jobs-invariant" warm warm2;
+  Alcotest.(check (pair int int)) "near-hits and fallbacks jobs-invariant"
+    counts counts2;
+  List.iteri
+    (fun i (w, c) ->
+      let w = execution_time w and c = execution_time c in
+      if not (w <= (c *. (1. +. Server.warm_delta)) +. 1e-9) then
+        Alcotest.failf "request %d: warm %g s beyond (1 + delta) x cold %g s"
+          i w c)
+    (List.combine warm cold);
+  Alcotest.(check bool)
+    (Printf.sprintf "near-hits %d (fallbacks %d) > 0" (fst counts) (snd counts))
+    true (fst counts > 0)
+
 let suites =
   [
     ( "server.sim_index",
@@ -383,8 +437,6 @@ let suites =
         Alcotest.test_case "different allocations incomparable" `Quick
           test_fp_incomparable_allocations;
         test_nearest_exact_at_distance_zero;
-        Alcotest.test_case "index bounded, oldest dropped" `Quick
-          test_index_bounded_and_ordered;
       ] );
     ( "repair.warm",
       [
@@ -398,5 +450,6 @@ let suites =
           test_eviction_cold_recompute_path;
         Alcotest.test_case "similarity off stays cold" `Quick
           test_similarity_off_no_near_hits;
+        Alcotest.test_case "edit chain" `Quick test_edit_chain;
       ] );
   ]
