@@ -989,7 +989,8 @@ let serve_cmd =
     let doc =
       "Measure request latency in wall milliseconds instead of virtual \
        ticks.  Latency histograms and traces stop being deterministic; \
-       use for real load measurements (bench/load_gen does)."
+       use for real load measurements (perfbench's serving workloads \
+       do)."
     in
     Arg.(value & flag & info [ "wall-clock" ] ~doc)
   in
