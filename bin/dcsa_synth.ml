@@ -121,20 +121,26 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* The same for floats: --tc 0, inf or nan is a usage error. *)
-let positive_float =
+(* The same for --tc: 0, inf, nan or anything above Config.max_tc is a
+   usage error. *)
+let tc_float =
+  let max_tc = Mfb_core.Config.max_tc in
   let parse s =
     match Arg.conv_parser Arg.float s with
-    | Ok x when Float.is_finite x && x > 0. -> Ok x
+    | Ok x when Float.is_finite x && x > 0. && x <= max_tc -> Ok x
+    | Ok x when Float.is_finite x && x > 0. ->
+      Error (`Msg (Printf.sprintf "%s is above the limit of %g" s max_tc))
     | Ok _ -> Error (`Msg (Printf.sprintf "%s is not a finite number > 0" s))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
 let tc_arg =
-  let doc = "Transport-time constant t_c in seconds." in
-  Arg.(
-    value & opt positive_float Mfb_core.Config.default.tc & info [ "tc" ] ~doc)
+  let doc =
+    Printf.sprintf "Transport-time constant t_c in seconds, at most %g."
+      Mfb_core.Config.max_tc
+  in
+  Arg.(value & opt tc_float Mfb_core.Config.default.tc & info [ "tc" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed for the annealing placer." in

@@ -39,9 +39,13 @@ let to_json cfg =
       ("exact_fuel", J.Int cfg.exact_fuel);
     ]
 
+let max_tc = 1e6
+
 let validate cfg =
   if cfg.tc <= 0. then invalid_arg "Config: tc must be positive";
   if not (Float.is_finite cfg.tc) then invalid_arg "Config: tc must be finite";
+  if cfg.tc > max_tc then
+    invalid_arg (Printf.sprintf "Config: tc must be at most %g" max_tc);
   if cfg.we < 0. then invalid_arg "Config: we must be non-negative";
   if cfg.beta < 0. || cfg.gamma < 0. then
     invalid_arg "Config: beta and gamma must be non-negative";

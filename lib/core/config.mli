@@ -22,8 +22,16 @@ type t = {
 
 val default : t
 
+val max_tc : float
+(** The largest accepted [tc], 10{^6} s.  No on-chip transport comes
+    near it, and below it [tc] alone cannot push a schedule time past
+    the largest float; a [tc] of 1e308 would, and the flow would fail on
+    a non-finite interval.  {!validate} and the CLI's [--tc] refuse
+    anything larger. *)
+
 val validate : t -> unit
-(** @raise Invalid_argument when a parameter is out of range. *)
+(** @raise Invalid_argument when a parameter is out of range, [tc]
+    above {!max_tc} included. *)
 
 val to_json : t -> Mfb_util.Json.t
 (** Stable field-by-field rendering (annealing schedule nested under

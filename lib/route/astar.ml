@@ -44,17 +44,92 @@ let heuristic_field ~w ~h dsts =
   done;
   dist
 
+(* Cell marks of the reachability flood, one byte per cell.  A cell is
+   [unknown] until [usable] has been asked about it. *)
+let unknown = '\000'
+let src_side = '\001'
+let dst_side = '\002'
+let unusable = '\003'
+
+(* Breadth-first flood of the usable cells from [srcs] and from [dsts]
+   (cell indices, already usable), one cell per side in turn; true once
+   the two sides touch.  A side whose queue runs empty first has marked
+   its whole usable component without meeting the other side, so no
+   path exists.  [marks] keeps every verdict of [usable], which the A*
+   that follows reads back instead of asking again. *)
+let flood ~w ~h marks ~usable srcs dsts =
+  let touched = ref false and visits = ref 0 in
+  let qs = Queue.create () and qd = Queue.create () in
+  let claim q side i =
+    let m = Bytes.get marks i in
+    if m = unknown then begin
+      Bytes.set marks i side;
+      Queue.add i q
+    end
+    else if m <> side then touched := true
+  in
+  List.iter (claim qs src_side) srcs;
+  List.iter (claim qd dst_side) dsts;
+  let step q side =
+    let i = Queue.pop q in
+    incr visits;
+    let visit j =
+      let m = Bytes.get marks j in
+      if m = unknown then begin
+        if usable (j mod w, j / w) then begin
+          Bytes.set marks j side;
+          Queue.add j q
+        end
+        else Bytes.set marks j unusable
+      end
+      else if m <> side && m <> unusable then touched := true
+    in
+    let x = i mod w and y = i / w in
+    if x > 0 then visit (i - 1);
+    if x < w - 1 then visit (i + 1);
+    if y > 0 then visit (i - w);
+    if y < h - 1 then visit (i + w)
+  in
+  let rec meet (q, side) other =
+    !touched
+    || ((not (Queue.is_empty q))
+       && begin
+         step q side;
+         meet other (q, side)
+       end)
+  in
+  let met = meet (qs, src_side) (qd, dst_side) in
+  Mfb_util.Telemetry.incr ~cat:"route" ~by:!visits "flood.visits";
+  met
+
 let search_multi ?stats:st ?field_cache ?(extra_cost = fun _ -> 0.) grid
     ~srcs ~dsts ~usable ~use_weights =
   let srcs = List.filter usable srcs and dsts = List.filter usable dsts in
-  if srcs = [] || dsts = [] then None
+  let w = Rgrid.width grid and h = Rgrid.height grid in
+  let idx (x, y) = (y * w) + x in
+  let marks = Bytes.make (w * h) unknown in
+  (* Every step costs at least 1 and is finite, so A* finds a path
+     exactly when the usable cells connect a source to a destination:
+     a failed flood answers [None] without building anything. *)
+  if srcs = [] || dsts = []
+     || not (flood ~w ~h marks ~usable (List.map idx srcs) (List.map idx dsts))
+  then None
   else begin
+    (* From here on only [unusable] versus the rest matters: a cell A*
+       finds usable itself is recorded on the source side. *)
+    let usable j =
+      let m = Bytes.get marks j in
+      if m = unknown then begin
+        let ok = usable (j mod w, j / w) in
+        Bytes.set marks j (if ok then src_side else unusable);
+        ok
+      end
+      else m <> unusable
+    in
     let pops = ref 0 and pushes = ref 0 and expansions = ref 0 in
     let step_cost grid ~use_weights xy =
       step_cost grid ~use_weights xy +. extra_cost xy
     in
-    let w = Rgrid.width grid and h = Rgrid.height grid in
-    let idx (x, y) = (y * w) + x in
     let is_goal =
       let goals = Hashtbl.create 4 in
       List.iter (fun xy -> Hashtbl.replace goals xy ()) dsts;
@@ -132,13 +207,14 @@ let search_multi ?stats:st ?field_cache ?(extra_cost = fun _ -> 0.) grid
           let g_here = g_cost.(idx xy) in
           let expand nx ny =
             if nx >= 0 && ny >= 0 && nx < w && ny < h then begin
-              let n = (nx, ny) in
-              if (not closed.(idx n)) && usable n then begin
+              let j = (ny * w) + nx in
+              if (not closed.(j)) && usable j then begin
+                let n = (nx, ny) in
                 let tentative = g_here +. step_cost grid ~use_weights n in
-                if tentative < g_cost.(idx n) -. 1e-12 then begin
-                  g_cost.(idx n) <- tentative;
-                  parent.(idx n) <- Some xy;
-                  push (tentative +. heuristic n) n
+                if tentative < g_cost.(j) -. 1e-12 then begin
+                  g_cost.(j) <- tentative;
+                  parent.(j) <- Some xy;
+                  push (tentative +. float_of_int field.(j)) n
                 end
               end
             end

@@ -47,17 +47,27 @@ val search_multi :
 (** [search_multi grid ~srcs ~dsts ~usable ~use_weights] is a
     minimum-cost path from some usable source to some usable target,
     inclusive of both endpoints; [None] when unreachable.  [extra_cost]
-    (default 0) adds a non-negative per-cell surcharge — the
-    congestion/history term of negotiated routing.  [stats] accumulates
-    the search effort; every search also feeds the [route/astar.*]
-    telemetry counters when a sink is installed.
+    (default 0) adds a non-negative, finite per-cell surcharge — the
+    congestion/history term of negotiated routing.  [usable] must give
+    the same answer for a cell throughout one search.
 
-    The heuristic is evaluated from a BFS distance {!heuristic_field}
-    built once per search; [field_cache] (keyed on the usable-filtered
-    destination list) lets callers that repeatedly search towards the
-    same targets — the router's delay candidates, the negotiator's
-    iterations — share one build.  Results are identical with or without
-    the cache. *)
+    A reachability flood runs first: breadth-first over the usable
+    cells from the sources and from the destinations, one cell per side
+    in turn.  If either side runs out of cells before the two meet, the
+    answer is [None] and A* never starts — every step costs at least 1
+    and is finite, so A* fails exactly then.  Otherwise the flood's
+    verdicts on [usable] are kept for the A* that follows, which asks
+    [usable] only about cells the flood never reached.  The flood's cell
+    visits feed the [route/flood.visits] telemetry counter.
+
+    Only a search that reaches A* counts: [stats] accumulates its
+    effort, and it feeds the [route/astar.*] telemetry counters when a
+    sink is installed.  The heuristic is evaluated from a BFS distance
+    {!heuristic_field} built once per search; [field_cache] (keyed on
+    the usable-filtered destination list) lets callers that repeatedly
+    search towards the same targets — the router's delay candidates,
+    the negotiator's iterations — share one build.  Results are
+    identical with or without the cache. *)
 
 val search :
   ?stats:stats ->

@@ -1,19 +1,16 @@
 module Types = Mfb_schedule.Types
 
-let correct_task grid ~tc (tr : Types.transport) initial_path =
+let correct_task grid (tr : Types.transport) initial_path =
   let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
-  let conflict_free_path path =
-    List.for_all (Routed.usable grid ~tc tr ~delay:0. ~src_ports:srcs) path
-  in
-  if conflict_free_path initial_path then (initial_path, 0., false)
+  let usable = Routed.usable grid tr ~delay:0. ~src_ports:srcs in
+  if List.for_all usable initial_path then (initial_path, 0., false)
   else begin
     (* Correction step 1: conflict-aware re-route (unweighted cost). *)
-    let usable xy = Routed.usable grid ~tc tr ~delay:0. ~src_ports:srcs xy in
     match Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights:false with
     | Some path -> (path, 0., false)
     | None ->
       (* Correction step 2: postpone along the original path. *)
-      (match Routed.settle_delay grid ~tc tr ~src_ports:srcs initial_path with
+      (match Routed.settle_delay grid tr ~src_ports:srcs initial_path with
        | Some delay -> (initial_path, delay, false)
        | None -> (initial_path, 0., true))
   end
@@ -42,7 +39,7 @@ let route ?(route_io = false) ~we ~tc chip (sched : Types.t) =
   let tasks, unresolved =
     List.fold_left
       (fun (tasks, unresolved) (tr, initial_path) ->
-        let path, delay, failed = correct_task grid ~tc tr initial_path in
+        let path, delay, failed = correct_task grid tr initial_path in
         let task =
           Routed.commit_path ~weight_update:false grid ~tc Routed.Transport tr
             ~path ~delay

@@ -73,17 +73,20 @@ let waste_deadline (sched : Types.t) op =
 let route_one ?(weight_update = true) grid ~tc ~deadline
     (tr : Types.transport) kind =
   let srcs, dsts = Routed.endpoints grid kind tr in
-  let usable_for (tr' : Types.transport) xy =
+  let whole_window (tr' : Types.transport) ~delay =
+    let windows = Routed.windows tr' ~delay ~near_src:true in
+    fun xy ->
+      List.for_all (fun iv -> Rgrid.conflict_free grid xy iv tr'.fluid) windows
+  in
+  let usable_for (tr' : Types.transport) =
     match (kind : Routed.kind) with
     | Waste | Transport ->
       (* Source-side parking matches the occupancy model exactly. *)
-      Routed.usable grid ~tc tr' ~delay:0. ~src_ports:srcs xy
+      Routed.usable grid tr' ~delay:0. ~src_ports:srcs
     | Dispense ->
       (* The staging cell sits near the (path-dependent) inlet, so require
          the conservative full window everywhere. *)
-      List.for_all
-        (fun iv -> Rgrid.conflict_free grid xy iv tr'.fluid)
-        (Routed.windows ~tc tr' ~delay:0. ~near_src:true)
+      whole_window tr' ~delay:0.
   in
   let attempt slack =
     let tr' = with_slack kind ~deadline tr slack in
@@ -101,13 +104,8 @@ let route_one ?(weight_update = true) grid ~tc ~deadline
     match (kind : Routed.kind) with
     | Waste | Transport -> None
     | Dispense ->
-      let usable xy =
-        List.for_all
-          (fun iv -> Rgrid.conflict_free grid xy iv tr.fluid)
-          (Routed.windows ~tc tr ~delay ~near_src:true)
-      in
       (match
-         Astar.search_multi grid ~srcs ~dsts ~usable
+         Astar.search_multi grid ~srcs ~dsts ~usable:(whole_window tr ~delay)
            ~use_weights:weight_update
        with
        | Some path -> Some (tr, delay, path)

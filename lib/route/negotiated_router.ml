@@ -114,13 +114,13 @@ let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
         let srcs = Rgrid.ports grid tr.src in
         let conflict_free =
           List.for_all
-            (Routed.usable grid ~tc tr ~delay:0. ~src_ports:srcs)
+            (Routed.usable grid tr ~delay:0. ~src_ports:srcs)
             path
         in
         let delay, failed =
           if conflict_free then (0., false)
           else
-            match Routed.settle_delay grid ~tc tr ~src_ports:srcs path with
+            match Routed.settle_delay grid tr ~src_ports:srcs path with
             | Some d -> (d, false)
             | None -> (0., true)
         in

@@ -54,7 +54,7 @@ let inject_channel ~we ~tc chip (sched : Types.t) (routing : Routed.result)
     List.filter
       (fun (task : Routed.task) ->
         match
-          Router.attempt ~is_defect:(( = ) defect) grid ~tc task.kind
+          Router.attempt ~is_defect:(( = ) defect) grid task.kind
             task.transport ~delay:task.delay
         with
         | Some path ->

@@ -100,8 +100,7 @@ let endpoints grid kind (tr : Types.transport) =
   | Dispense -> (border_cells grid, Rgrid.ports grid tr.dst)
   | Waste -> (Rgrid.ports grid tr.src, border_cells grid)
 
-let windows ~tc (tr : Types.transport) ~delay ~near_src =
-  ignore tc;
+let windows (tr : Types.transport) ~delay ~near_src =
   let removal = tr.removal +. delay in
   let depart = tr.depart +. delay in
   let arrive = tr.arrive +. delay in
@@ -115,19 +114,22 @@ let windows ~tc (tr : Types.transport) ~delay ~near_src =
 let near_any ports (x1, y1) =
   List.exists (fun (x2, y2) -> abs (x1 - x2) + abs (y1 - y2) <= 1) ports
 
-let usable grid ~tc tr ~delay ~src_ports xy =
-  List.for_all
-    (fun iv -> Rgrid.conflict_free grid xy iv tr.Types.fluid)
-    (windows ~tc tr ~delay ~near_src:(near_any src_ports xy))
+let usable grid tr ~delay ~src_ports =
+  let near = windows tr ~delay ~near_src:true
+  and far = windows tr ~delay ~near_src:false in
+  fun xy ->
+    List.for_all
+      (fun iv -> Rgrid.conflict_free grid xy iv tr.Types.fluid)
+      (if near_any src_ports xy then near else far)
 
-let settle_delay ?(from = 0.) grid ~tc (tr : Types.transport) ~src_ports path =
+let settle_delay ?(from = 0.) grid (tr : Types.transport) ~src_ports path =
   let fuel = (8 * List.length path) + 8 in
   let cell_delay delay xy =
     List.fold_left
       (fun acc iv ->
         Float.max acc (Rgrid.required_delay grid xy iv tr.fluid))
       0.
-      (windows ~tc tr ~delay ~near_src:(near_any src_ports xy))
+      (windows tr ~delay ~near_src:(near_any src_ports xy))
   in
   let rec loop delay fuel =
     if fuel = 0 then None

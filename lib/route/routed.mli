@@ -74,7 +74,6 @@ val endpoints :
     outlet of a [Waste] run. *)
 
 val windows :
-  tc:float ->
   Mfb_schedule.Types.transport ->
   delay:float ->
   near_src:bool ->
@@ -86,20 +85,20 @@ val windows :
 
 val usable :
   Rgrid.t ->
-  tc:float ->
   Mfb_schedule.Types.transport ->
   delay:float ->
   src_ports:(int * int) list ->
   (int * int) ->
   bool
-(** Cell-usability predicate for path search, consistent with the
-    occupation that {!commit} will record ("near source" means
-    Manhattan distance at most 1 from some source port). *)
+(** [usable grid transport ~delay ~src_ports] is the cell-usability
+    predicate for path search, consistent with the occupation that
+    {!commit} will record ("near source" means Manhattan distance at
+    most 1 from some source port).  Both {!windows} are built once, when
+    the predicate is; apply it partially and test many cells with it. *)
 
 val settle_delay :
   ?from:float ->
   Rgrid.t ->
-  tc:float ->
   Mfb_schedule.Types.transport ->
   src_ports:(int * int) list ->
   (int * int) list ->

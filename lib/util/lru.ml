@@ -90,18 +90,6 @@ let add t k v =
     Hashtbl.replace t.table k node;
     push_front t node
 
-let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> ()
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.table k
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
-
 let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions }
 
 let bindings t =

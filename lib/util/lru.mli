@@ -37,12 +37,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
     replacing any previous binding of [k].  When the cache is full the
     least-recently-used entry is evicted (counted). *)
 
-val remove : ('k, 'v) t -> 'k -> unit
-(** Drop [k] if present (not counted as an eviction). *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every entry; counters are kept. *)
-
 val stats : ('k, 'v) t -> stats
 
 val bindings : ('k, 'v) t -> ('k * 'v) list

@@ -394,10 +394,15 @@ let test_cluster_failing_job_keeps_workers () =
   (* a job whose synthesis raises is answered by a healthy worker: no
      crash, retry or degradation, and the rest of the batch is intact *)
   let bad =
+    (* three chained ops of 1e308 s: admitted, but the schedule overflows *)
+    let text =
+      "assay \"overflow\"\nfluid a 1e-6\nop 0 mix 1e308 a\n\
+       op 1 heat 1e308 a\nop 2 detect 1 a\nedge 0 1\nedge 1 2\n"
+    in
     match
       Server.resolve ~base:Config.default ~flow:`Ours
-        ~overrides:{ P.no_overrides with P.o_tc = Some 1e308 }
-        (P.Benchmark "IVD")
+        ~overrides:P.no_overrides
+        (P.Assay { text; alloc = None })
     with
     | Ok job -> job
     | Error e -> Alcotest.failf "resolve: %s" e

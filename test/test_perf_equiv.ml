@@ -167,7 +167,114 @@ let prop_heuristic_field =
       done;
       !ok)
 
+(* --- Reachability flood ---------------------------------------------------- *)
+
+(* Test-local oracles on a bare w x h grid: breadth-first reachability
+   from the usable sources, and Dijkstra's least path cost under the
+   cost model of [Astar.path_cost] (every cell entered, the first
+   included). *)
+let neighbours4 ~w ~h (x, y) =
+  List.filter
+    (fun (x, y) -> x >= 0 && y >= 0 && x < w && y < h)
+    [ (x - 1, y); (x + 1, y); (x, y - 1); (x, y + 1) ]
+
+let bfs_connects ~w ~h ~usable srcs dsts =
+  let seen = Hashtbl.create 64 in
+  let rec spread = function
+    | [] -> ()
+    | xy :: rest ->
+      let fresh =
+        List.filter
+          (fun n -> usable n && not (Hashtbl.mem seen n))
+          (neighbours4 ~w ~h xy)
+      in
+      List.iter (fun n -> Hashtbl.replace seen n ()) fresh;
+      spread (rest @ fresh)
+  in
+  let starts = List.filter usable srcs in
+  List.iter (fun xy -> Hashtbl.replace seen xy ()) starts;
+  spread starts;
+  List.exists (fun xy -> Hashtbl.mem seen xy) dsts
+
+let dijkstra_cost ~w ~h ~usable ~cost srcs dsts =
+  let idx (x, y) = (y * w) + x in
+  let dist = Array.make (w * h) infinity and settled = Array.make (w * h) false in
+  List.iter
+    (fun xy -> if usable xy then dist.(idx xy) <- Float.min dist.(idx xy) (cost xy))
+    srcs;
+  let rec settle () =
+    let next = ref (-1) in
+    Array.iteri
+      (fun i d ->
+        if (not settled.(i)) && d < infinity && (!next < 0 || d < dist.(!next))
+        then next := i)
+      dist;
+    if !next >= 0 then begin
+      let i = !next in
+      settled.(i) <- true;
+      List.iter
+        (fun n ->
+          if usable n then
+            dist.(idx n) <- Float.min dist.(idx n) (dist.(i) +. cost n))
+        (neighbours4 ~w ~h (i mod w, i / w));
+      settle ()
+    end
+  in
+  settle ();
+  List.fold_left
+    (fun acc xy -> if usable xy then Float.min acc dist.(idx xy) else acc)
+    infinity dsts
+
+(* [search_multi] answers [Some] exactly when the usable cells connect a
+   source to a destination, and its path is a least-cost usable walk
+   from a source to a destination.  Weights are multiples of 0.5, so
+   every cost sum is exact; their wide spread sends A* past the cells
+   the flood already judged, so memoized verdicts are re-read too. *)
+let prop_flood_search =
+  let cell = QCheck2.Gen.(pair (int_bound 7) (int_bound 7)) in
+  let ends = QCheck2.Gen.(list_size (int_range 1 3) cell) in
+  qtest ~count:600 "search_multi = BFS reachability + Dijkstra cost"
+    QCheck2.Gen.(
+      quad
+        (triple (int_range 1 8) (int_range 1 8) bool)
+        (list_repeat 64 (int_bound 9))
+        (list_repeat 64 (int_bound 30))
+        (pair ends ends))
+    (fun ((w, h, use_weights), mask, weights, (srcs, dsts)) ->
+      let mask = Array.of_list mask and weights = Array.of_list weights in
+      let at (x, y) = (y * w) + x in
+      let fit = List.map (fun (x, y) -> (x mod w, y mod h)) in
+      let srcs = fit srcs and dsts = fit dsts in
+      let usable xy = mask.(at xy) < 6 in
+      let grid =
+        Rgrid.create ~we:0.
+          { Chip.width = w; height = h; components = [||]; places = [||] }
+      in
+      for i = 0 to (w * h) - 1 do
+        Rgrid.set_weight grid (i mod w, i / w) (0.5 *. float_of_int weights.(i))
+      done;
+      let cost xy = 1. +. if use_weights then Rgrid.weight grid xy else 0. in
+      match
+        ( Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights,
+          bfs_connects ~w ~h ~usable srcs dsts )
+      with
+      | None, connected -> not connected
+      | Some _, false -> false
+      | Some path, true ->
+        let rec linked = function
+          | (x1, y1) :: ((x2, y2) :: _ as rest) ->
+            abs (x1 - x2) + abs (y1 - y2) = 1 && linked rest
+          | [ _ ] | [] -> true
+        in
+        linked path
+        && List.for_all usable path
+        && List.mem (List.hd path) srcs
+        && List.mem (List.nth path (List.length path - 1)) dsts
+        && Float.equal
+             (Astar.path_cost grid ~use_weights path)
+             (dijkstra_cost ~w ~h ~usable ~cost srcs dsts))
+
 let suites =
   [ ( "perf.equiv",
       [ prop_incremental_energy; prop_rgrid_differential;
-        prop_heuristic_field ] ) ]
+        prop_heuristic_field; prop_flood_search ] ) ]

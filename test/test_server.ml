@@ -1077,8 +1077,10 @@ module Defect = Mfb_repair.Defect
 
 let good_submit = {|{"op":"submit","id":"good","benchmark":"PCR"}|}
 
-(* tc = 1e308 passes config validation but overflows synthesis *)
-let bad_submit = {|{"op":"submit","id":"bad","benchmark":"IVD","tc":1e308}|}
+(* Three chained ops of 1e308 s pass admission, but their schedule
+   overflows: synthesis raises on a non-finite interval. *)
+let bad_submit =
+  {|{"op":"submit","id":"bad","assay":"assay \"overflow\"\nfluid a 1e-6\nop 0 mix 1e308 a\nop 1 heat 1e308 a\nop 2 detect 1 a\nedge 0 1\nedge 1 2\n"}|}
 
 let test_failing_job_fails_alone () =
   List.iter
@@ -1147,14 +1149,17 @@ let test_sa_restarts_override_capped () =
   | P.Submitted _ -> ()
   | r -> Alcotest.failf "operator restarts: %s" (P.response_to_line r)
 
-let test_non_finite_tc_rejected_at_submit () =
+(* A submit whose tc Config.validate refuses is answered with the reason
+   and counted as rejected; nothing is computed. *)
+let tc_rejected_at_submit ~id ~tc ~reason () =
   let s = server () in
-  (* 1e400 parses to infinity: refused with a reason, never computed *)
-  Alcotest.(check (option string)) "infinite tc refused at submit"
+  Alcotest.(check (option string)) (Printf.sprintf "tc %s refused at submit" tc)
     (Some
-       {|{"ok":false,"op":"submit","id":"inf","reason":"Config: tc must be finite"}|})
+       (Printf.sprintf {|{"ok":false,"op":"submit","id":"%s","reason":"%s"}|}
+          id reason))
     (Server.handle_line s
-       {|{"op":"submit","id":"inf","benchmark":"PCR","tc":1e400}|});
+       (Printf.sprintf {|{"op":"submit","id":"%s","benchmark":"PCR","tc":%s}|}
+          id tc));
   match Server.handle s P.Stats with
   | P.Stats_reply stats ->
     Alcotest.(check bool) "counted as rejected, nothing computed" true
@@ -1386,8 +1391,14 @@ let suites =
           test_latency_histogram_tracks_requests;
         Alcotest.test_case "a failing job fails alone" `Quick
           test_failing_job_fails_alone;
+        (* 1e400 parses to infinity *)
         Alcotest.test_case "non-finite tc rejected at submit" `Quick
-          test_non_finite_tc_rejected_at_submit;
+          (tc_rejected_at_submit ~id:"inf" ~tc:"1e400"
+             ~reason:"Config: tc must be finite");
+        (* 1e308 is finite, but above Config.max_tc *)
+        Alcotest.test_case "overflowing tc rejected at submit" `Quick
+          (tc_rejected_at_submit ~id:"big" ~tc:"1e308"
+             ~reason:"Config: tc must be at most 1e+06");
         Alcotest.test_case "client sa_restarts override capped" `Quick
           test_sa_restarts_override_capped;
         Alcotest.test_case "batch duplicate counts one miss" `Quick

@@ -698,11 +698,6 @@ let test_lru_basics () =
   Alcotest.(check bool) "find hit" true (Lru.find c "a" = Some 1);
   Alcotest.(check bool) "find miss" true (Lru.find c "z" = None);
   Alcotest.(check bool) "mem" true (List.mem_assoc "b" (Lru.bindings c));
-  Lru.remove c "b";
-  Alcotest.(check bool) "removed" false
-    (List.mem_assoc "b" (Lru.bindings c));
-  Lru.clear c;
-  Alcotest.(check int) "cleared" 0 (Lru.length c);
   Alcotest.check_raises "capacity 0" (Invalid_argument "Lru.create: capacity < 1")
     (fun () -> ignore (Lru.create ~capacity:0 ()))
 
