@@ -44,18 +44,18 @@ let place ?(params = default_params) ~rng ~nets components =
   validate params;
   let chip = Chip.random rng components in
   let index = Energy.index ~n_components:(Array.length components) nets in
-  let energy = ref (objective chip nets) in
+  let walk = Walk.create ~compaction_weight index chip in
+  let energy = ref (Walk.objective walk) in
   let initial_energy = !energy in
-  let best = ref (Chip.copy chip) in
+  let best = ref (Walk.places walk) in
   let best_energy = ref !energy in
   let accepted = ref 0 and attempted = ref 0 in
   let temperature = ref params.t0 in
   let temperature_steps = ref 0 in
-  let delta_evals = ref 0 in
   let resyncs = ref 0 in
   let since_resync = ref 0 in
   let resync () =
-    energy := objective chip nets;
+    energy := Walk.objective walk;
     incr resyncs;
     since_resync := 0
   in
@@ -67,26 +67,8 @@ let place ?(params = default_params) ~rng ~nets components =
         let accepted_before = !accepted in
         for _ = 1 to params.i_max do
           incr attempted;
-          match Moves.random_move_touched rng chip with
-          | None -> ()
-          | Some (touched, undo) ->
-            (* Measure the touched terms in the new state, flip back to
-               measure them in the old state, then restore: the exact
-               Eq. 3 + compaction delta from only the incident terms. *)
-            let new_net, tn1 = Energy.incident_total chip index touched in
-            let new_cmp, tc1 = Energy.partial_compaction chip touched in
-            let saved =
-              List.map (fun i -> (i, chip.Chip.places.(i))) touched
-            in
-            undo ();
-            let old_net, tn2 = Energy.incident_total chip index touched in
-            let old_cmp, tc2 = Energy.partial_compaction chip touched in
-            List.iter (fun (i, p) -> chip.Chip.places.(i) <- p) saved;
-            delta_evals := !delta_evals + tn1 + tn2 + tc1 + tc2;
-            let delta =
-              new_net -. old_net
-              +. (compaction_weight *. (new_cmp -. old_cmp))
-            in
+          if Walk.propose rng walk then begin
+            let delta = Walk.delta walk in
             let accept =
               delta < 0.
               || Mfb_util.Rng.float rng 1.0 < exp (-.delta /. !temperature)
@@ -101,11 +83,12 @@ let place ?(params = default_params) ~rng ~nets components =
                 resync ();
                 if !energy < !best_energy then begin
                   best_energy := !energy;
-                  best := Chip.copy chip
+                  best := Walk.places walk
                 end
               end
             end
-            else undo ()
+            else Walk.undo walk
+          end
         done;
         (* One counter-series point and one histogram observation per
            temperature step: the SA acceptance trajectory of Alg. 2.  The
@@ -120,7 +103,7 @@ let place ?(params = default_params) ~rng ~nets components =
   Telemetry.incr ~cat:"place" ~by:!accepted "sa.accepted";
   Telemetry.incr ~cat:"place" ~by:!attempted "sa.attempted";
   Telemetry.incr ~cat:"place" ~by:!temperature_steps "sa.temperature_steps";
-  Telemetry.incr ~cat:"place" ~by:!delta_evals "delta_evals";
+  Telemetry.incr ~cat:"place" ~by:(Walk.terms walk) "delta_evals";
   Telemetry.incr ~cat:"place" ~by:!resyncs "resyncs";
   (* Tiny instances can defeat the random walk; the packed scanline
      construction is a free lower-effort candidate, so keep the better of
@@ -129,7 +112,7 @@ let place ?(params = default_params) ~rng ~nets components =
   let scanline_energy = objective scanline nets in
   let chip, energy =
     if scanline_energy < !best_energy then (scanline, scanline_energy)
-    else (!best, !best_energy)
+    else ({ chip with places = !best }, !best_energy)
   in
   { chip; energy; initial_energy; accepted = !accepted;
     attempted = !attempted; temperature_steps = !temperature_steps }

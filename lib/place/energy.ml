@@ -32,7 +32,7 @@ let compaction chip =
 
 (* Net-adjacency index: nets flattened to arrays plus, per component, the
    ids of its incident nets.  A per-net stamp deduplicates nets incident
-   to more than one touched component without allocating a set. *)
+   to both components of a query without allocating a set. *)
 type index = {
   na : int array;
   nb : int array;
@@ -40,6 +40,7 @@ type index = {
   incident : int array array;
   stamp : int array;
   mutable round : int;
+  mutable terms : int;
 }
 
 let index ~n_components nets =
@@ -67,39 +68,27 @@ let index ~n_components nets =
       fill.(nb.(k)) <- fill.(nb.(k)) + 1
     end
   done;
-  { na; nb; ncp; incident; stamp = Array.make m (-1); round = 0 }
+  { na; nb; ncp; incident; stamp = Array.make m (-1); round = 0; terms = 0 }
 
-let incident_total chip t touched =
+(* The nets of [i], then those of [j] not yet counted; each term is
+   [Chip.manhattan] times cp, with the centres read from [cx], [cy]. *)
+let incident_total t cx cy i j =
   t.round <- t.round + 1;
   let r = t.round in
-  let sum = ref 0. and terms = ref 0 in
-  List.iter
-    (fun c ->
-      let nets = t.incident.(c) in
-      for i = 0 to Array.length nets - 1 do
-        let k = nets.(i) in
-        if t.stamp.(k) <> r then begin
-          t.stamp.(k) <- r;
-          sum := !sum +. (Chip.manhattan chip t.na.(k) t.nb.(k) *. t.ncp.(k));
-          incr terms
-        end
-      done)
-    touched;
-  (!sum, !terms)
-
-let partial_compaction chip touched =
-  let n = Array.length chip.Chip.components in
-  let sum = ref 0. and terms = ref 0 in
-  let rec go = function
-    | [] -> ()
-    | i :: rest ->
-      for j = 0 to n - 1 do
-        if j <> i && not (List.mem j rest) then begin
-          sum := !sum +. Chip.manhattan chip i j;
-          incr terms
-        end
-      done;
-      go rest
-  in
-  go touched;
-  (!sum, !terms)
+  let sum = ref 0. in
+  for pass = 0 to if j = i then 0 else 1 do
+    let nets = t.incident.(if pass = 0 then i else j) in
+    for q = 0 to Array.length nets - 1 do
+      let k = nets.(q) in
+      if t.stamp.(k) <> r then begin
+        t.stamp.(k) <- r;
+        let a = t.na.(k) and b = t.nb.(k) in
+        sum :=
+          !sum
+          +. (Float.abs (cx.(a) -. cx.(b)) +. Float.abs (cy.(a) -. cy.(b)))
+             *. t.ncp.(k);
+        t.terms <- t.terms + 1
+      end
+    done
+  done;
+  !sum

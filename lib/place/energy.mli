@@ -27,29 +27,35 @@ val compaction : Chip.t -> float
 
     The annealing hot path only needs the energy {e difference} caused by
     a move, which touches one or two components.  The index below maps
-    each component to its incident weighted nets so the annealer can
-    re-evaluate just those terms (before and after the move) instead of
-    folding over every net plus the O(n²) compaction pairs. *)
+    each component to its incident weighted nets so the walk
+    ({!Walk}) can re-evaluate just those terms (before and after the
+    move) instead of folding over every net. *)
 
-type index
+type index = private {
+  na : int array;     (** first endpoint of each net, in list order *)
+  nb : int array;     (** second endpoint *)
+  ncp : float array;  (** connection priority *)
+  incident : int array array;
+  (** per component, the ids of its incident nets, ascending; a
+      self-net once *)
+  stamp : int array;  (** per net, the round that last counted it *)
+  mutable round : int;
+  mutable terms : int;  (** net terms {!incident_total} has evaluated *)
+}
 (** Component → incident-nets adjacency, with a per-net stamp used to
-    deduplicate nets shared by several touched components.  Mutable
-    (the stamp round counter) — not safe to share across domains; build
-    one per annealing walk. *)
+    deduplicate nets shared by the two queried components.  Mutable
+    (the stamp round and the term count) — not safe to share across
+    domains; build one per annealing walk. *)
 
 val index : n_components:int -> weighted_net list -> index
 (** [index ~n_components nets] builds the adjacency once per walk.
     Component ids in [nets] must lie in [0, n_components). *)
 
-val incident_total :
-  Chip.t -> index -> int list -> float * int
-(** [incident_total chip idx touched] is the Eq. 3 partial sum over the
-    distinct nets incident to any component in [touched], plus the count
-    of net terms evaluated.  Evaluating it before and after a move (same
-    [touched]) yields the exact Eq. 3 delta: non-incident terms cancel. *)
-
-val partial_compaction : Chip.t -> int list -> float * int
-(** [partial_compaction chip touched] is the compaction partial sum over
-    all pairs containing at least one touched component (each such pair
-    counted once), plus the term count.  Before/after evaluation yields
-    the exact {!compaction} delta. *)
+val incident_total : index -> float array -> float array -> int -> int -> float
+(** [incident_total idx cx cy i j] is the Eq. 3 partial sum over the
+    distinct nets incident to component [i] or [j] (pass [j = i] for one
+    component), reading component centres from [cx] and [cy].  It adds
+    the number of net terms it evaluated to [idx.terms] and allocates
+    nothing but its result.  Evaluating it before and after a move that
+    displaced only [i] and [j] yields the exact Eq. 3 delta:
+    non-incident terms cancel. *)

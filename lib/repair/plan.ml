@@ -92,6 +92,8 @@ let rebind_candidates ~(config : Mfb_core.Config.t) chip (sched : Types.t)
     ~dead d =
   let n = Array.length sched.components in
   let kind = sched.components.(d).Mfb_component.Component.kind in
+  let centres = Array.init (Array.length chip.Chip.places) (Chip.center chip) in
+  let cx = Array.map fst centres and cy = Array.map snd centres in
   let score j =
     let sched' = remap_schedule sched [ (d, j) ] in
     let weighted =
@@ -99,7 +101,7 @@ let rebind_candidates ~(config : Mfb_core.Config.t) chip (sched : Types.t)
         (Net.of_schedule sched')
     in
     let idx = Energy.index ~n_components:n weighted in
-    fst (Energy.incident_total chip idx [ j ])
+    Energy.incident_total idx cx cy j j
   in
   let rec collect j acc =
     if j < 0 then acc

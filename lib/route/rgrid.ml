@@ -97,6 +97,8 @@ let blocked g xy = (cell_exn g xy).blocked
 
 let weight g xy = (cell_exn g xy).weight
 
+let weight_at g i = g.cells.(i).weight
+
 let set_weight g xy w = (cell_exn g xy).weight <- w
 
 let occupations g xy = (cell_exn g xy).occs

@@ -27,6 +27,9 @@ val blocked : t -> int * int -> bool
 
 val weight : t -> int * int -> float
 
+val weight_at : t -> int -> float
+(** [weight_at grid i] is the weight of cell [i = y * width + x]. *)
+
 val set_weight : t -> int * int -> float -> unit
 
 val occupations : t -> int * int -> occupation list

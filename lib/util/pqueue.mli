@@ -11,18 +11,9 @@ val create : cmp:('p -> 'p -> int) -> ('p, 'a) t
 
 val length : ('p, 'a) t -> int
 
-val is_empty : ('p, 'a) t -> bool
-
 val push : ('p, 'a) t -> 'p -> 'a -> unit
 (** [push q p x] inserts [x] with priority [p]. *)
 
 val pop : ('p, 'a) t -> ('p * 'a) option
 (** [pop q] removes and returns the minimum-priority binding, or [None]
     when [q] is empty. *)
-
-val peek : ('p, 'a) t -> ('p * 'a) option
-(** [peek q] returns the minimum-priority binding without removing it. *)
-
-val to_list : ('p, 'a) t -> ('p * 'a) list
-(** [to_list q] is the bindings of [q] in unspecified order; [q] is
-    unchanged. *)

@@ -242,9 +242,10 @@ let prop_astar_stats_deterministic =
       let route () =
         let stats = Mfb_route.Astar.stats () in
         (match
-           Mfb_route.Astar.search ~stats grid ~src:(0, 0)
-             ~dst:(Mfb_route.Rgrid.width grid - 1,
-                   Mfb_route.Rgrid.height grid - 1)
+           Mfb_route.Astar.search_multi ~stats grid ~srcs:[ (0, 0) ]
+             ~dsts:
+               [ (Mfb_route.Rgrid.width grid - 1,
+                  Mfb_route.Rgrid.height grid - 1) ]
              ~usable:(fun c -> not (Mfb_route.Rgrid.blocked grid c))
              ~use_weights:false
          with

@@ -1,10 +1,11 @@
-(* Tests for the placement stage: chip model, nets, energy, moves,
+(* Tests for the placement stage: chip model, nets, energy, the walk's
+   moves,
    annealer (paper Alg. 2 lines 1-8) and the baseline placer. *)
 
 module Chip = Mfb_place.Chip
 module Net = Mfb_place.Net
 module Energy = Mfb_place.Energy
-module Moves = Mfb_place.Moves
+module Walk = Mfb_place.Walk
 module Annealer = Mfb_place.Annealer
 module Greedy_place = Mfb_place.Greedy_place
 module Allocation = Mfb_component.Allocation
@@ -141,32 +142,45 @@ let test_energy_zero_for_colocated () =
 
 (* --- Moves --- *)
 
+let walk_of chip =
+  Walk.create ~compaction_weight:0.01
+    (Energy.index ~n_components:(Array.length chip.Chip.components) [])
+    chip
+
+let placed chip walk = { chip with Chip.places = Walk.places walk }
+
+(* Every proposal leaves a legal placement, and a refused one leaves the
+   placement as it was. *)
 let prop_moves_preserve_legality =
   qtest "random moves keep the placement legal"
     QCheck2.Gen.(pair (int_bound 10000) (int_range 2 8))
     (fun (seed, n_mixers) ->
       let rng = Rng.create seed in
       let chip = Chip.random rng (components_of (n_mixers, 1, 1, 1)) in
+      let walk = walk_of chip in
+      let ok = ref true in
       for _ = 1 to 50 do
-        ignore (Moves.random_move rng chip)
+        let before = Walk.places walk in
+        let applied = Walk.propose rng walk in
+        if not (Chip.legal (placed chip walk)) then ok := false;
+        if (not applied) && Walk.places walk <> before then ok := false
       done;
-      Chip.legal chip)
+      !ok)
 
 let test_move_undo_restores () =
   let rng = Rng.create 7 in
   let chip = Chip.random rng (components_of (4, 2, 0, 0)) in
-  let snapshot = Array.copy chip.places in
-  let rec exercise n =
-    if n > 0 then begin
-      (match Moves.random_move rng chip with
-       | Some undo -> undo ()
-       | None -> ());
-      exercise (n - 1)
+  let walk = walk_of chip in
+  let applied = ref 0 in
+  for _ = 1 to 30 do
+    if Walk.propose rng walk then begin
+      incr applied;
+      Walk.undo walk
     end
-  in
-  exercise 30;
+  done;
+  Alcotest.(check bool) "some move applied" true (!applied > 0);
   Alcotest.(check bool) "placement restored after undo" true
-    (Array.for_all2 (fun a b -> a = b) snapshot chip.places)
+    (Array.for_all2 (fun a b -> a = b) chip.places (Walk.places walk))
 
 (* --- Annealer --- *)
 

@@ -20,10 +20,8 @@ let qtest ?(count = 200) name gen prop =
 
 let test_pqueue_empty () =
   let q = Pqueue.create ~cmp:compare in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
   Alcotest.(check int) "length" 0 (Pqueue.length q);
-  Alcotest.(check bool) "pop" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek" true (Pqueue.peek q = None)
+  Alcotest.(check bool) "pop" true (Pqueue.pop q = None)
 
 let test_pqueue_order () =
   let q = Pqueue.create ~cmp:compare in
@@ -36,13 +34,6 @@ let test_pqueue_max_via_cmp () =
   List.iter (fun p -> Pqueue.push q p p) [ 5; 1; 4 ];
   Alcotest.(check int) "max first" 5 (fst (Option.get (Pqueue.pop q)))
 
-let test_pqueue_peek_stable () =
-  let q = Pqueue.create ~cmp:compare in
-  Pqueue.push q 2 "b";
-  Pqueue.push q 1 "a";
-  Alcotest.(check int) "peek min" 1 (fst (Option.get (Pqueue.peek q)));
-  Alcotest.(check int) "length unchanged" 2 (Pqueue.length q)
-
 let test_pqueue_interleaved () =
   let q = Pqueue.create ~cmp:compare in
   Pqueue.push q 3 ();
@@ -51,13 +42,6 @@ let test_pqueue_interleaved () =
   Pqueue.push q 2 ();
   Alcotest.(check int) "second pop" 2 (fst (Option.get (Pqueue.pop q)));
   Alcotest.(check int) "third pop" 3 (fst (Option.get (Pqueue.pop q)))
-
-let test_pqueue_to_list () =
-  let q = Pqueue.create ~cmp:compare in
-  List.iter (fun p -> Pqueue.push q p p) [ 3; 1; 2 ];
-  let items = List.sort compare (List.map fst (Pqueue.to_list q)) in
-  Alcotest.(check (list int)) "all present" [ 1; 2; 3 ] items;
-  Alcotest.(check int) "length unchanged" 3 (Pqueue.length q)
 
 let prop_pqueue_sorts =
   qtest "pqueue pops in sorted order"
@@ -938,9 +922,7 @@ let suites =
         Alcotest.test_case "empty" `Quick test_pqueue_empty;
         Alcotest.test_case "order" `Quick test_pqueue_order;
         Alcotest.test_case "max-queue" `Quick test_pqueue_max_via_cmp;
-        Alcotest.test_case "peek" `Quick test_pqueue_peek_stable;
         Alcotest.test_case "interleaved" `Quick test_pqueue_interleaved;
-        Alcotest.test_case "to_list" `Quick test_pqueue_to_list;
         prop_pqueue_sorts;
         prop_pqueue_length;
       ] );

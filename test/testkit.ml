@@ -18,3 +18,83 @@ let suite_instances () =
   List.map
     (fun (inst : Mfb_core.Suite.instance) -> (inst.graph, inst.allocation))
     (Mfb_core.Suite.all ())
+
+(* Oracles for [Astar.search_multi] on a bare grid: breadth-first
+   reachability from the usable sources, and Dijkstra's least path cost
+   under the cost model of [Astar.path_cost] (every cell entered, the
+   first included). *)
+let neighbours4 ~w ~h (x, y) =
+  List.filter
+    (fun (x, y) -> x >= 0 && y >= 0 && x < w && y < h)
+    [ (x - 1, y); (x + 1, y); (x, y - 1); (x, y + 1) ]
+
+let bfs_connects ~w ~h ~usable srcs dsts =
+  let seen = Hashtbl.create 64 in
+  let rec spread = function
+    | [] -> ()
+    | xy :: rest ->
+      let fresh =
+        List.filter
+          (fun n -> usable n && not (Hashtbl.mem seen n))
+          (neighbours4 ~w ~h xy)
+      in
+      List.iter (fun n -> Hashtbl.replace seen n ()) fresh;
+      spread (rest @ fresh)
+  in
+  let starts = List.filter usable srcs in
+  List.iter (fun xy -> Hashtbl.replace seen xy ()) starts;
+  spread starts;
+  List.exists (fun xy -> Hashtbl.mem seen xy) dsts
+
+let dijkstra_cost ~w ~h ~usable ~cost srcs dsts =
+  let idx (x, y) = (y * w) + x in
+  let dist = Array.make (w * h) infinity and settled = Array.make (w * h) false in
+  List.iter
+    (fun xy -> if usable xy then dist.(idx xy) <- Float.min dist.(idx xy) (cost xy))
+    srcs;
+  let rec settle () =
+    let next = ref (-1) in
+    Array.iteri
+      (fun i d ->
+        if (not settled.(i)) && d < infinity && (!next < 0 || d < dist.(!next))
+        then next := i)
+      dist;
+    if !next >= 0 then begin
+      let i = !next in
+      settled.(i) <- true;
+      List.iter
+        (fun n ->
+          if usable n then
+            dist.(idx n) <- Float.min dist.(idx n) (dist.(i) +. cost n))
+        (neighbours4 ~w ~h (i mod w, i / w));
+      settle ()
+    end
+  in
+  settle ();
+  List.fold_left
+    (fun acc xy -> if usable xy then Float.min acc dist.(idx xy) else acc)
+    infinity dsts
+
+(* [answer], a [search_multi] result on [grid], is [Some] exactly when
+   the usable cells connect a source to a destination, and then a
+   least-cost usable walk from a source to a destination. *)
+let search_agrees grid ~usable ~use_weights srcs dsts answer =
+  let module Rgrid = Mfb_route.Rgrid in
+  let w = Rgrid.width grid and h = Rgrid.height grid in
+  let cost xy = 1. +. if use_weights then Rgrid.weight grid xy else 0. in
+  match (answer, bfs_connects ~w ~h ~usable srcs dsts) with
+  | None, connected -> not connected
+  | Some _, false -> false
+  | Some path, true ->
+    let rec linked = function
+      | (x1, y1) :: ((x2, y2) :: _ as rest) ->
+        abs (x1 - x2) + abs (y1 - y2) = 1 && linked rest
+      | [ _ ] | [] -> true
+    in
+    linked path
+    && List.for_all usable path
+    && List.mem (List.hd path) srcs
+    && List.mem (List.nth path (List.length path - 1)) dsts
+    && Float.equal
+         (Mfb_route.Astar.path_cost grid ~use_weights path)
+         (dijkstra_cost ~w ~h ~usable ~cost srcs dsts)
