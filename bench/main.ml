@@ -646,7 +646,7 @@ let physical_validation config pairs =
      fraction of single channel-cell defects survivable by re-routing)"
 
 (* ------------------------------------------------------------------ *)
-(* Hot paths: incremental SA energy and reusable A* heuristic fields  *)
+(* Hot paths: incremental SA energy and the one-pass A* flood         *)
 (* ------------------------------------------------------------------ *)
 
 (* Counter evidence from the optimized inner loops, against the per-move
@@ -655,7 +655,8 @@ let physical_validation config pairs =
    (moved and reverted placements), where the incremental path touches
    only terms incident to the moved components.  The periodic re-syncs
    are charged to the incremental side so the reduction factor covers
-   everything the annealer evaluates.  Emits BENCH_hotpath.json. *)
+   everything the annealer evaluates.  For routing, the destination-side
+   flood visits at most one cell per A* pop.  Emits BENCH_hotpath.json. *)
 
 type hotpath_row = {
   hp_name : string;
@@ -664,7 +665,8 @@ type hotpath_row = {
   hp_inc : float;          (* measured incremental terms per proposal *)
   hp_reduction : float;
   hp_searches : int;
-  hp_builds : int;
+  hp_pops : int;
+  hp_visits : int;
   hp_wall : float;
 }
 
@@ -672,7 +674,7 @@ let hotpath_out = "BENCH_hotpath.json"
 
 let hotpath_section config =
   section
-    "Hot paths: evaluated terms per SA move and A* heuristic-field reuse";
+    "Hot paths: evaluated terms per SA move and A* flood visits per pop";
   let measure (inst : Suite.instance) =
     let sink = Mfb_util.Telemetry.make_sink () in
     Mfb_util.Telemetry.install sink;
@@ -701,7 +703,8 @@ let hotpath_section config =
       hp_inc;
       hp_reduction = float_of_int dense /. Float.max hp_inc 1e-9;
       hp_searches = c "route" "astar.searches";
-      hp_builds = c "route" "heuristic_field_builds";
+      hp_pops = c "route" "astar.pops";
+      hp_visits = c "route" "flood.visits";
       hp_wall = wall;
     }
   in
@@ -710,9 +713,9 @@ let hotpath_section config =
     Table.create
       ~headers:
         [ "Benchmark"; "Ops"; "Dense terms/move"; "Incr terms/move";
-          "Reduction"; "A* searches"; "Field builds"; "Wall (s)" ]
+          "Reduction"; "A* searches"; "A* pops"; "Flood visits"; "Wall (s)" ]
   in
-  Table.set_aligns table (Table.Left :: List.init 7 (fun _ -> Table.Right));
+  Table.set_aligns table (Table.Left :: List.init 8 (fun _ -> Table.Right));
   List.iter
     (fun r ->
       Table.add_row table
@@ -723,7 +726,8 @@ let hotpath_section config =
           Printf.sprintf "%.1f" r.hp_inc;
           Printf.sprintf "%.1fx" r.hp_reduction;
           string_of_int r.hp_searches;
-          string_of_int r.hp_builds;
+          string_of_int r.hp_pops;
+          string_of_int r.hp_visits;
           Printf.sprintf "%.3f" r.hp_wall;
         ])
     rows;
@@ -740,10 +744,10 @@ let hotpath_section config =
    | Some r ->
      Printf.printf
        "largest assay %s: %.1fx fewer evaluated terms per SA move \
-        (target >= 3x: %s); heuristic fields built %d for %d searches\n"
+        (target >= 3x: %s); %d flood visits for %d A* pops\n"
        r.hp_name r.hp_reduction
        (if r.hp_reduction >= 3. then "met" else "MISSED")
-       r.hp_builds r.hp_searches
+       r.hp_visits r.hp_pops
    | None -> ());
   let row_json r =
     Mfb_util.Json.Obj
@@ -754,11 +758,8 @@ let hotpath_section config =
         ("incremental_terms_per_move", Mfb_util.Json.Float r.hp_inc);
         ("term_reduction", Mfb_util.Json.Float r.hp_reduction);
         ("astar_searches", Mfb_util.Json.Int r.hp_searches);
-        ("heuristic_field_builds", Mfb_util.Json.Int r.hp_builds);
-        ( "field_reuse",
-          Mfb_util.Json.Float
-            (float_of_int r.hp_searches
-            /. float_of_int (max 1 r.hp_builds)) );
+        ("astar_pops", Mfb_util.Json.Int r.hp_pops);
+        ("flood_visits", Mfb_util.Json.Int r.hp_visits);
         ("wall_s", Mfb_util.Json.Float r.hp_wall);
       ]
   in

@@ -8,23 +8,22 @@ let step_cost grid ~use_weights xy =
 let path_cost grid ~use_weights path =
   List.fold_left (fun acc xy -> acc +. step_cost grid ~use_weights xy) 0. path
 
-let manhattan (x1, y1) (x2, y2) =
-  float_of_int (abs (x1 - x2) + abs (y1 - y2))
-
 (* Per-domain search state, sized to the largest grid seen and reused
    by every search on the domain.  An entry counts only when its stamp
    equals the current search's generation, so a search starts clean
    without clearing anything:
 
-   - [mark] holds [gen lsl 2 lor m], with [m] the flood's verdict on the
-     cell (source side, destination side or unusable); any other
-     generation reads as unknown;
+   - [mark] holds [gen lsl 2 lor m], with [m] the search's verdict on
+     the cell (usable, flooded or unusable); any other generation reads
+     as unknown;
    - [g] and [parent] (a cell index, -1 for a source) count when
      [g_gen] matches; otherwise [g] is infinite;
    - [closed] and [goal] are sets: a cell belongs when its entry is the
      generation;
-   - [qs] and [qd] are the flood's queues; no cell enters either twice,
-     so each is a flat array read from a head index;
+   - [flood] is the destination-side flood's queue; no cell enters it
+     twice, so it is a flat array read from a head index;
+   - the first [ndst] entries of [dx] and [dy] are the coordinates of
+     the distinct usable destinations;
    - the first [hsize] entries of [hkey] and [hval] are the open list, a
      binary min-heap of cell indices keyed by f-score. *)
 type scratch = {
@@ -36,8 +35,10 @@ type scratch = {
   parent : int array;
   closed : int array;
   goal : int array;
-  qs : int array;
-  qd : int array;
+  flood : int array;
+  dx : int array;
+  dy : int array;
+  mutable ndst : int;
   mutable hkey : float array;
   mutable hval : int array;
   mutable hsize : int;
@@ -48,7 +49,8 @@ let scratch cells =
   { cells; gen = 0; mark = Array.make cells 0; g = Array.make cells 0.;
     g_gen = Array.make cells 0; parent = Array.make cells 0;
     closed = Array.make cells 0; goal = Array.make cells 0;
-    qs = Array.make cells 0; qd = Array.make cells 0;
+    flood = Array.make cells 0; dx = Array.make cells 0;
+    dy = Array.make cells 0; ndst = 0;
     hkey = Array.make 16 0.; hval = Array.make 16 0; hsize = 0; busy = false }
 
 let scratch_key = Domain.DLS.new_key (fun () -> scratch 0)
@@ -126,51 +128,11 @@ let heap_pop s =
   end;
   v
 
-(* Multi-source BFS distance field from [dsts] over the unobstructed
-   grid: distances.(y*w + x) is the number of 4-connected steps to the
-   nearest destination.  On an unobstructed grid that is exactly the
-   minimum Manhattan distance, so the field substitutes for the per-call
-   fold over the destination list without changing a single f-score.
-   [queue] holds at least [w * h] cells. *)
-let fill_field ~queue ~w ~h dsts =
-  let dist = Array.make (w * h) (-1) in
-  let tail = ref 0 in
-  List.iter
-    (fun (x, y) ->
-      let i = (y * w) + x in
-      if dist.(i) < 0 then begin
-        dist.(i) <- 0;
-        queue.(!tail) <- i;
-        incr tail
-      end)
-    dsts;
-  let head = ref 0 in
-  while !head < !tail do
-    let i = queue.(!head) in
-    incr head;
-    let d = dist.(i) + 1 in
-    let x = i mod w and y = i / w in
-    let visit j =
-      if dist.(j) < 0 then begin
-        dist.(j) <- d;
-        queue.(!tail) <- j;
-        incr tail
-      end
-    in
-    if x > 0 then visit (i - 1);
-    if x < w - 1 then visit (i + 1);
-    if y > 0 then visit (i - w);
-    if y < h - 1 then visit (i + w)
-  done;
-  dist
-
-let heuristic_field ~w ~h dsts =
-  fill_field ~queue:(Array.make (w * h) 0) ~w ~h dsts
-
-(* Flood verdicts, the low two bits of a current [mark] entry. *)
+(* Verdicts, the low two bits of a current [mark] entry: [flooded]
+   cells are usable and already in the destination-side flood. *)
 let unknown = 0
-let src_side = 1
-let dst_side = 2
+let usable_cell = 1
+let flooded = 2
 let unusable = 3
 
 let mark_of s i =
@@ -179,83 +141,38 @@ let mark_of s i =
 
 let set_mark s i m = s.mark.(i) <- (s.gen lsl 2) lor m
 
-(* Breadth-first flood of the usable cells from [srcs] and from [dsts]
-   (cell indices, already usable), one cell per side in turn; true once
-   the two sides touch.  A side whose queue runs empty first has marked
-   its whole usable component without meeting the other side, so no
-   path exists.  The marks keep every verdict of [usable], which the A*
-   that follows reads back instead of asking again. *)
-let flood ~w ~h s ~usable srcs dsts =
-  let touched = ref false and visits = ref 0 in
-  let tail_s = ref 0 and tail_d = ref 0 in
-  let claim q tail side i =
-    let m = mark_of s i in
-    if m = unknown then begin
-      set_mark s i side;
-      q.(!tail) <- i;
-      incr tail
-    end
-    else if m <> side then touched := true
-  in
-  List.iter (claim s.qs tail_s src_side) srcs;
-  List.iter (claim s.qd tail_d dst_side) dsts;
-  let visit q tail side j =
-    let m = mark_of s j in
-    if m = unknown then begin
-      if usable (j mod w, j / w) then claim q tail side j
-      else set_mark s j unusable
-    end
-    else if m <> side && m <> unusable then touched := true
-  in
-  let step q head tail side =
-    let i = q.(!head) in
-    incr head;
-    incr visits;
-    let x = i mod w and y = i / w in
-    if x > 0 then visit q tail side (i - 1);
-    if x < w - 1 then visit q tail side (i + 1);
-    if y > 0 then visit q tail side (i - w);
-    if y < h - 1 then visit q tail side (i + w)
-  in
-  let head_s = ref 0 and head_d = ref 0 in
-  let rec meet src_turn =
-    !touched
-    ||
-    if src_turn then
-      !head_s < !tail_s && begin step s.qs head_s tail_s src_side; meet false end
-    else
-      !head_d < !tail_d && begin step s.qd head_d tail_d dst_side; meet true end
-  in
-  let met = meet true in
-  Mfb_util.Telemetry.incr ~cat:"route" ~by:!visits "flood.visits";
-  met
+(* The least Manhattan distance from [(x, y)] to a usable destination:
+   the admissible heuristic, as every step costs at least 1. *)
+let bound s x y =
+  let best = ref max_int in
+  for k = 0 to s.ndst - 1 do
+    let d = abs (x - s.dx.(k)) + abs (y - s.dy.(k)) in
+    if d < !best then best := d
+  done;
+  !best
 
-let search_multi ?stats:st ?field_cache ?extra_cost grid ~srcs ~dsts ~usable
+let search_multi ?stats:st ?extra_cost grid ~srcs ~dsts ~usable
     ~use_weights =
-  let srcs = List.filter usable srcs and dsts = List.filter usable dsts in
   let w = Rgrid.width grid and h = Rgrid.height grid in
   let idx (x, y) = (y * w) + x in
   with_scratch (w * h) @@ fun s ->
   s.gen <- s.gen + 1;
   let gen = s.gen in
-  (* Every step costs at least 1 and is finite, so A* finds a path
-     exactly when the usable cells connect a source to a destination:
-     a failed flood answers [None] without building anything. *)
-  if srcs = [] || dsts = []
-     || not (flood ~w ~h s ~usable (List.map idx srcs) (List.map idx dsts))
-  then None
+  (* [usable] is asked at most once per cell; the mark keeps its
+     verdict. *)
+  let usable j =
+    let m = mark_of s j in
+    if m = unknown then begin
+      let ok = usable j in
+      set_mark s j (if ok then usable_cell else unusable);
+      ok
+    end
+    else m <> unusable
+  in
+  let srcs = List.filter (fun xy -> usable (idx xy)) srcs
+  and dsts = List.filter (fun xy -> usable (idx xy)) dsts in
+  if srcs = [] || dsts = [] then None
   else begin
-    (* From here on only [unusable] versus the rest matters: a cell A*
-       finds usable itself is recorded on the source side. *)
-    let usable j =
-      let m = mark_of s j in
-      if m = unknown then begin
-        let ok = usable (j mod w, j / w) in
-        set_mark s j (if ok then src_side else unusable);
-        ok
-      end
-      else m <> unusable
-    in
     let pops = ref 0 and pushes = ref 0 and expansions = ref 0 in
     (* Entering cell [j] costs [1 + w(cell)] plus the surcharge; without
        one, adding 0 would change nothing. *)
@@ -265,36 +182,36 @@ let search_multi ?stats:st ?field_cache ?extra_cost grid ~srcs ~dsts ~usable
       | None -> c
       | Some extra -> c +. extra (j mod w, j / w)
     in
-    List.iter (fun xy -> s.goal.(idx xy) <- gen) dsts;
-    (* The field depends only on the usable destination set, so repeated
-       searches against the same targets (delay candidates, negotiation
-       iterations) can share one build through [field_cache].  The cache
-       is keyed on the filtered list — a different usable-set yields a
-       different key, never a stale field. *)
-    let build_field () =
-      Mfb_util.Telemetry.incr ~cat:"route" "heuristic_field_builds";
-      fill_field ~queue:s.qs ~w ~h dsts
-    in
-    let field =
-      match field_cache with
-      | None -> build_field ()
-      | Some tbl ->
-        (match Hashtbl.find_opt tbl dsts with
-         | Some f -> f
-         | None ->
-           let f = build_field () in
-           Hashtbl.add tbl dsts f;
-           f)
-    in
+    s.ndst <- 0;
+    List.iter
+      (fun (x, y) ->
+        let j = (y * w) + x in
+        if s.goal.(j) <> gen then begin
+          s.goal.(j) <- gen;
+          s.dx.(s.ndst) <- x;
+          s.dy.(s.ndst) <- y;
+          s.ndst <- s.ndst + 1
+        end)
+      dsts;
     s.hsize <- 0;
+    (* The destination-side flood spreads breadth-first over the usable
+       cells, one cell per A* pop, until the two searches meet: it
+       reaches a cell A* has given a g-value, or A* gives one to a
+       flooded cell.  As every step costs at least 1 and is finite, a
+       path exists exactly when they meet.  A flood that runs dry first
+       has covered the destinations' whole usable component without
+       meeting a source, and the search answers [None]. *)
+    let met = ref false and head = ref 0 and tail = ref 0 in
+    let visits = ref 0 in
     (* [g] of a cell is infinite until this search records one. *)
     let[@inline] g_of j = if s.g_gen.(j) = gen then s.g.(j) else infinity in
     let record j g parent =
+      if mark_of s j = flooded then met := true;
       s.g_gen.(j) <- gen;
       s.g.(j) <- g;
       s.parent.(j) <- parent;
       incr pushes;
-      heap_push s (g +. float_of_int field.(j)) j
+      heap_push s (g +. float_of_int (bound s (j mod w) (j / w))) j
     in
     List.iter
       (fun src ->
@@ -302,6 +219,34 @@ let search_multi ?stats:st ?field_cache ?extra_cost grid ~srcs ~dsts ~usable
         let c = step_cost j in
         if c < g_of j then record j c (-1))
       srcs;
+    let reach j =
+      if s.g_gen.(j) = gen then met := true
+      else begin
+        set_mark s j flooded;
+        s.flood.(!tail) <- j;
+        incr tail
+      end
+    in
+    for k = 0 to s.ndst - 1 do
+      reach ((s.dy.(k) * w) + s.dx.(k))
+    done;
+    let visit j = if mark_of s j <> flooded && usable j then reach j in
+    (* False once the flood has run dry without meeting A*. *)
+    let flood_step () =
+      !met
+      || !head < !tail
+         && begin
+           let i = s.flood.(!head) in
+           incr head;
+           incr visits;
+           let x = i mod w and y = i / w in
+           if x > 0 then visit (i - 1);
+           if x < w - 1 then visit (i + 1);
+           if y > 0 then visit (i - w);
+           if y < h - 1 then visit (i + w);
+           true
+         end
+    in
     let rec reconstruct j acc =
       let acc = (j mod w, j / w) :: acc in
       if s.parent.(j) < 0 then acc else reconstruct s.parent.(j) acc
@@ -318,6 +263,7 @@ let search_multi ?stats:st ?field_cache ?extra_cost grid ~srcs ~dsts ~usable
       T.incr ~cat:"route" ~by:!pops "astar.pops";
       T.incr ~cat:"route" ~by:!pushes "astar.pushes";
       T.incr ~cat:"route" ~by:!expansions "astar.expansions";
+      T.incr ~cat:"route" ~by:!visits "flood.visits";
       result
     in
     (* Neighbours west, east, north, south: the order of
@@ -329,7 +275,7 @@ let search_multi ?stats:st ?field_cache ?extra_cost grid ~srcs ~dsts ~usable
       end
     in
     let rec loop () =
-      if s.hsize = 0 then report None
+      if s.hsize = 0 || not (flood_step ()) then report None
       else begin
         let i = heap_pop s in
         incr pops;

@@ -19,55 +19,37 @@ val stats : unit -> stats
 (** A zeroed accumulator; pass the same one to several searches to sum
     their effort. *)
 
-val manhattan : int * int -> int * int -> float
-(** Manhattan distance between two cells — the per-destination term of
-    the heuristic, retained as the differential-testing oracle for
-    {!heuristic_field}. *)
-
-val heuristic_field : w:int -> h:int -> (int * int) list -> int array
-(** [heuristic_field ~w ~h dsts] is the multi-source BFS distance field
-    from [dsts] over the unobstructed [w]×[h] grid, indexed [y*w + x].
-    Cell values equal the minimum Manhattan distance to any destination
-    (exactly — BFS on an unobstructed 4-connected grid), so the field
-    replaces the per-call fold over [dsts] in {!search_multi} without
-    changing any f-score.  Unreachable is impossible on a grid; with
-    [dsts = []] every cell is [-1].  Each build bumps the
-    [route/heuristic_field_builds] telemetry counter's caller. *)
-
 val search_multi :
   ?stats:stats ->
-  ?field_cache:((int * int) list, int array) Hashtbl.t ->
   ?extra_cost:(int * int -> float) ->
   Rgrid.t ->
   srcs:(int * int) list ->
   dsts:(int * int) list ->
-  usable:(int * int -> bool) ->
+  usable:(int -> bool) ->
   use_weights:bool ->
   (int * int) list option
 (** [search_multi grid ~srcs ~dsts ~usable ~use_weights] is a
     minimum-cost path from some usable source to some usable target,
-    inclusive of both endpoints; [None] when unreachable.  [extra_cost]
-    (default 0) adds a non-negative, finite per-cell surcharge — the
-    congestion/history term of negotiated routing.  [usable] must give
-    the same answer for a cell throughout one search.
+    inclusive of both endpoints; [None] when unreachable.  [usable] judges
+    a cell by its index [y * width + x]; it must give the same answer for
+    a cell throughout one search, and it is asked at most once per cell.
+    [extra_cost] (default 0) adds a non-negative, finite per-cell
+    surcharge — the congestion/history term of negotiated routing.
 
-    A reachability flood runs first: breadth-first over the usable
-    cells from the sources and from the destinations, one cell per side
-    in turn.  If either side runs out of cells before the two meet, the
-    answer is [None] and A* never starts — every step costs at least 1
-    and is finite, so A* fails exactly then.  Otherwise the flood's
-    verdicts on [usable] are kept for the A* that follows, which asks
-    [usable] only about cells the flood never reached.  The flood's cell
-    visits feed the [route/flood.visits] telemetry counter.
+    The heuristic is the least Manhattan distance to a usable
+    destination, evaluated when a cell is pushed.  Alongside A*, a flood
+    spreads breadth-first over the usable cells from the destinations,
+    one cell per A* pop, until it reaches a cell A* has given a g-value.
+    Every step costs at least 1 and is finite, so a path exists exactly
+    when the two meet: a flood that runs dry first answers [None] at
+    once, as does an empty open list.  The flood never changes A*'s pop
+    order, so the path is the one A* alone would find.  Its cell visits,
+    at most one per pop, feed the [route/flood.visits] telemetry
+    counter.
 
-    Only a search that reaches A* counts: [stats] accumulates its
-    effort, and it feeds the [route/astar.*] telemetry counters when a
-    sink is installed.  The heuristic is evaluated from a BFS distance
-    {!heuristic_field} built once per search; [field_cache] (keyed on
-    the usable-filtered destination list) lets callers that repeatedly
-    search towards the same targets — the router's delay candidates,
-    the negotiator's iterations — share one build.  Results are
-    identical with or without the cache.
+    Every search whose endpoints include a usable source and a usable
+    destination counts: [stats] accumulates its effort, and it feeds the
+    [route/astar.*] telemetry counters when a sink is installed.
 
     The search keeps its per-cell state in one scratch per domain,
     grown to the largest grid the domain has searched and kept for the

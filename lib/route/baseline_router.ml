@@ -3,7 +3,9 @@ module Types = Mfb_schedule.Types
 let correct_task grid (tr : Types.transport) initial_path =
   let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
   let usable = Routed.usable grid tr ~delay:0. ~src_ports:srcs in
-  if List.for_all usable initial_path then (initial_path, 0., false)
+  let w = Rgrid.width grid in
+  if List.for_all (fun (x, y) -> usable ((y * w) + x)) initial_path then
+    (initial_path, 0., false)
   else begin
     (* Correction step 1: conflict-aware re-route (unweighted cost). *)
     match Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights:false with
@@ -24,7 +26,7 @@ let route ?(route_io = false) ~we ~tc chip (sched : Types.t) =
     List.map
       (fun (tr : Types.transport) ->
         let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
-        let usable xy = not (Rgrid.blocked grid xy) in
+        let usable i = not (Rgrid.blocked_at grid i) in
         let path =
           match
             Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights:false

@@ -74,9 +74,8 @@ let route_one ?(weight_update = true) grid ~tc ~deadline
     (tr : Types.transport) kind =
   let srcs, dsts = Routed.endpoints grid kind tr in
   let whole_window (tr' : Types.transport) ~delay =
-    let windows = Routed.windows tr' ~delay ~near_src:true in
-    fun xy ->
-      List.for_all (fun iv -> Rgrid.conflict_free grid xy iv tr'.fluid) windows
+    let iv = Routed.window tr' ~delay ~near_src:true in
+    fun i -> Rgrid.conflict_free_at grid i iv tr'.fluid
   in
   let usable_for (tr' : Types.transport) =
     match (kind : Routed.kind) with
@@ -123,7 +122,7 @@ let route_one ?(weight_update = true) grid ~tc ~deadline
     | None ->
       (* Best effort: tolerate the residual conflict rather than perturb
          the schedule (rare; reported through [unresolved]). *)
-      let unblocked xy = not (Rgrid.blocked grid xy) in
+      let unblocked i = not (Rgrid.blocked_at grid i) in
       ( Option.map
           (fun path -> (tr, 0., path))
           (Astar.search_multi grid ~srcs ~dsts ~usable:unblocked

@@ -17,10 +17,6 @@ let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
   let scratch () = Rgrid.create ~we chip in
   let transports = Routed.start_order sched in
   let n = List.length transports in
-  (* Destination ports and the blocked set are fixed across negotiation
-     iterations, so every re-route of a task reuses its first
-     heuristic-field build. *)
-  let field_cache = Hashtbl.create 64 in
   let history = Hashtbl.create 64 in
   let history_of xy = Option.value ~default:0. (Hashtbl.find_opt history xy) in
   let bump xy =
@@ -53,11 +49,11 @@ let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
           history_of xy
           +. (present_penalty *. float_of_int (sharing xy))
         in
-        let usable xy = not (Rgrid.blocked grid xy) in
+        let usable i = not (Rgrid.blocked_at grid i) in
         let path =
           match
-            Astar.search_multi ~field_cache ~extra_cost grid ~srcs ~dsts
-              ~usable ~use_weights:true
+            Astar.search_multi ~extra_cost grid ~srcs ~dsts ~usable
+              ~use_weights:true
           with
           | Some p -> p
           | None -> [ List.hd srcs; List.hd dsts ]
@@ -112,10 +108,10 @@ let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
       (fun (tasks, unresolved) (i, (tr : Types.transport)) ->
         let path = paths.(i) in
         let srcs = Rgrid.ports grid tr.src in
+        let usable = Routed.usable grid tr ~delay:0. ~src_ports:srcs in
+        let w = Rgrid.width grid in
         let conflict_free =
-          List.for_all
-            (Routed.usable grid tr ~delay:0. ~src_ports:srcs)
-            path
+          List.for_all (fun (x, y) -> usable ((y * w) + x)) path
         in
         let delay, failed =
           if conflict_free then (0., false)

@@ -95,6 +95,8 @@ let height g = g.grid_height
 
 let blocked g xy = (cell_exn g xy).blocked
 
+let blocked_at g i = g.cells.(i).blocked
+
 let weight g xy = (cell_exn g xy).weight
 
 let weight_at g i = g.cells.(i).weight
@@ -183,17 +185,18 @@ let settled_before cell t =
   !lo
 
 (* [max (hi o +. wash_time o.fluid)] over the first [r] end-sorted
-   occupations whose fluid differs from [fluid]; None when no such
-   occupation exists.  Same-fluid priors impose no wash, so the top-two
-   distinct-fluid maxima decide the query. *)
+   occupations whose fluid differs from [fluid]; [neg_infinity] when no
+   such occupation exists.  Same-fluid priors impose no wash, so the
+   top-two distinct-fluid maxima decide the query.  Every float it
+   returns is already boxed, so it allocates nothing. *)
 let wash_bound cell r fluid =
-  if r = 0 then None
+  if r = 0 then neg_infinity
   else
     match cell.ptop.(r - 1) with
     | Some (f1, v1), second ->
-      if not (Fluid.equal f1 fluid) then Some v1
-      else Option.map snd second
-    | None, _ -> None
+      if not (Fluid.equal f1 fluid) then v1
+      else (match second with Some (_, v2) -> v2 | None -> neg_infinity)
+    | None, _ -> neg_infinity
 
 (* ---- Reference implementations (retained for differential tests) ---- *)
 
@@ -268,22 +271,18 @@ let wash_debt_ref g xy ~at fluid =
    reference's branch structure exactly, and max-of-differences equals
    difference-of-max because subtracting the same float is monotone. *)
 
-let conflict_free g xy iv fluid =
-  let cell = cell_exn g xy in
+(* A cell with no occupation is answered from its record alone. *)
+let conflict_free_at g i iv fluid =
+  let cell = g.cells.(i) in
   if cell.blocked then false
-  else begin
-    refresh cell;
-    let n = Array.length cell.sorted in
-    if n = 0 then true
-    else begin
-      let lo = Interval.lo iv in
-      let r = settled_before cell lo in
-      let wash_ok =
-        match wash_bound cell r fluid with
-        | None -> true
-        | Some m -> lo +. 1e-9 >= m
-      in
-      wash_ok
+  else
+    match cell.occs with
+    | [] -> true
+    | _ :: _ ->
+      refresh cell;
+      let n = Array.length cell.sorted in
+      let r = settled_before cell iv.Interval.lo in
+      iv.lo +. 1e-9 >= wash_bound cell r fluid
       &&
       let ok = ref true in
       let i = ref r in
@@ -292,8 +291,10 @@ let conflict_free g xy iv fluid =
         incr i
       done;
       !ok
-    end
-  end
+
+let conflict_free g xy iv fluid =
+  ignore (cell_exn g xy);
+  conflict_free_at g (idx g xy) iv fluid
 
 let required_delay g xy iv fluid =
   let cell = cell_exn g xy in
@@ -310,9 +311,8 @@ let required_delay g xy iv fluid =
         (* Prefix: ended occupations whose wash window still covers the
            shifted start. *)
         let bound =
-          match wash_bound cell r fluid with
-          | Some m when slo +. 1e-9 < m -> m
-          | _ -> neg_infinity
+          let m = wash_bound cell r fluid in
+          if slo +. 1e-9 < m then m else neg_infinity
         in
         (* Suffix: occupations still active after the shifted start. *)
         let bound = ref bound in

@@ -25,6 +25,9 @@ val in_bounds : t -> int * int -> bool
 
 val blocked : t -> int * int -> bool
 
+val blocked_at : t -> int -> bool
+(** [blocked_at grid i] is whether cell [i = y * width + x] is blocked. *)
+
 val weight : t -> int * int -> float
 
 val weight_at : t -> int -> float
@@ -53,6 +56,13 @@ val conflict_free :
     before a prior different-fluid residue could be washed away
     (the time-slot test of the paper's Eq. 5, extended with the wash
     separation of conflict class 3 in §II-C2). *)
+
+val conflict_free_at :
+  t -> int -> Mfb_util.Interval.t -> Mfb_bioassay.Fluid.t -> bool
+(** [conflict_free_at grid i iv fluid] is {!conflict_free} on cell
+    [i = y * width + x], the form path search asks in.  A cell with no
+    occupation is answered from its record alone, with no window test,
+    and no verdict allocates. *)
 
 val required_delay :
   t -> int * int -> Mfb_util.Interval.t -> Mfb_bioassay.Fluid.t -> float

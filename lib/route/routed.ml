@@ -100,36 +100,36 @@ let endpoints grid kind (tr : Types.transport) =
   | Dispense -> (border_cells grid, Rgrid.ports grid tr.dst)
   | Waste -> (Rgrid.ports grid tr.src, border_cells grid)
 
-let windows (tr : Types.transport) ~delay ~near_src =
+let window (tr : Types.transport) ~delay ~near_src =
   let removal = tr.removal +. delay in
   let depart = tr.depart +. delay in
   let arrive = tr.arrive +. delay in
   (* Only the port and parking cells — both within distance 1 of a source
      port — hold the fluid during the cache; every cell further out sees
      just the final sweep (matching {!occupancy}). *)
-  if near_src || depart -. removal <= 1e-9 then
-    [ Interval.make removal arrive ]
-  else [ Interval.make depart arrive ]
+  if near_src || depart -. removal <= 1e-9 then Interval.make removal arrive
+  else Interval.make depart arrive
 
-let near_any ports (x1, y1) =
-  List.exists (fun (x2, y2) -> abs (x1 - x2) + abs (y1 - y2) <= 1) ports
+let rec near_any ports x y =
+  match ports with
+  | [] -> false
+  | (px, py) :: rest -> abs (x - px) + abs (y - py) <= 1 || near_any rest x y
 
 let usable grid tr ~delay ~src_ports =
-  let near = windows tr ~delay ~near_src:true
-  and far = windows tr ~delay ~near_src:false in
-  fun xy ->
-    List.for_all
-      (fun iv -> Rgrid.conflict_free grid xy iv tr.Types.fluid)
-      (if near_any src_ports xy then near else far)
+  let w = Rgrid.width grid and fluid = tr.Types.fluid in
+  let near = window tr ~delay ~near_src:true
+  and far = window tr ~delay ~near_src:false in
+  fun i ->
+    Rgrid.conflict_free_at grid i
+      (if near_any src_ports (i mod w) (i / w) then near else far)
+      fluid
 
 let settle_delay ?(from = 0.) grid (tr : Types.transport) ~src_ports path =
   let fuel = (8 * List.length path) + 8 in
-  let cell_delay delay xy =
-    List.fold_left
-      (fun acc iv ->
-        Float.max acc (Rgrid.required_delay grid xy iv tr.fluid))
-      0.
-      (windows tr ~delay ~near_src:(near_any src_ports xy))
+  let cell_delay delay ((x, y) as xy) =
+    Rgrid.required_delay grid xy
+      (window tr ~delay ~near_src:(near_any src_ports x y))
+      tr.fluid
   in
   let rec loop delay fuel =
     if fuel = 0 then None

@@ -73,28 +73,29 @@ val endpoints :
     and outlets attach) stand in for the inlet of a [Dispense] and the
     outlet of a [Waste] run. *)
 
-val windows :
+val window :
   Mfb_schedule.Types.transport ->
   delay:float ->
   near_src:bool ->
-  Mfb_util.Interval.t list
-(** Occupation windows a cell must be free for, matching {!occupancy}:
-    cells near the source port may hold the cached fluid for the whole
-    (shifted) transport window; downstream cells only see the initial
-    eviction sweep and the final arrival sweep. *)
+  Mfb_util.Interval.t
+(** Occupation window a cell must be free for, matching {!occupancy}:
+    a cell near the source port may hold the cached fluid for the whole
+    (shifted) transport window; a cell further out only sees the final
+    arrival sweep. *)
 
 val usable :
   Rgrid.t ->
   Mfb_schedule.Types.transport ->
   delay:float ->
   src_ports:(int * int) list ->
-  (int * int) ->
+  int ->
   bool
 (** [usable grid transport ~delay ~src_ports] is the cell-usability
-    predicate for path search, consistent with the occupation that
-    {!commit} will record ("near source" means Manhattan distance at
-    most 1 from some source port).  Both {!windows} are built once, when
-    the predicate is; apply it partially and test many cells with it. *)
+    predicate for path search, by cell index [y * width + x], consistent
+    with the occupation that {!commit} will record ("near source" means
+    Manhattan distance at most 1 from some source port).  Both
+    {!window}s are built once, when the predicate is; apply it partially
+    and test many cells with it.  A verdict allocates nothing. *)
 
 val settle_delay :
   ?from:float ->
@@ -104,7 +105,7 @@ val settle_delay :
   (int * int) list ->
   float option
 (** Smallest postponement of at least [from] (default 0) making the
-    whole path conflict-free on every cell under the {!windows}
+    whole path conflict-free on every cell under the {!window}
     semantics, or [None] when no fixed point is found within the
     iteration budget. *)
 

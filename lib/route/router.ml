@@ -23,31 +23,32 @@ let delay_candidates = [ 0.; 0.5; 1.0; 1.5; 2.0; 3.0; 4.0; 6.0; 8.0 ]
    schedule. *)
 let delay_budget = 16.
 
-let no_defect (_ : int * int) = false
+(* [ok] by cell index, and not a defect when [is_defect] is given. *)
+let avoiding ?is_defect grid ok =
+  match is_defect with
+  | None -> ok
+  | Some defect ->
+    let w = Rgrid.width grid in
+    fun i -> ok i && not (defect (i mod w, i / w))
 
-let search ?stats ?field_cache ~is_defect ~use_weights grid tr ~srcs ~dsts
-    ~delay =
-  let conflict_free = Routed.usable grid tr ~delay ~src_ports:srcs in
-  let usable xy = (not (is_defect xy)) && conflict_free xy in
-  Astar.search_multi ?stats ?field_cache grid ~srcs ~dsts ~usable ~use_weights
+let search ?stats ?is_defect ~use_weights grid tr ~srcs ~dsts ~delay =
+  let usable =
+    avoiding ?is_defect grid (Routed.usable grid tr ~delay ~src_ports:srcs)
+  in
+  Astar.search_multi ?stats grid ~srcs ~dsts ~usable ~use_weights
 
 let attempt ~is_defect grid kind tr ~delay =
   let srcs, dsts = Routed.endpoints grid kind tr in
   search ~is_defect ~use_weights:true grid tr ~srcs ~dsts ~delay
 
-let route_one ?(weight_update = true) ?(is_defect = no_defect)
-    ?(kind = Routed.Transport) ?(delay = 0.) ~policy grid ~tc
-    (tr : Types.transport) =
+let route_one ?(weight_update = true) ?is_defect ?(kind = Routed.Transport)
+    ?(delay = 0.) ~policy grid ~tc (tr : Types.transport) =
   let cold = policy = Cheapest in
   let srcs, dsts = Routed.endpoints grid kind tr in
   let effort = Astar.stats () in
-  (* All delay candidates aim at the same destination ports, so they
-     share one heuristic-field build per distinct usable-set; a delay
-     whose ports the reachability flood finds disconnected builds none. *)
-  let field_cache = Hashtbl.create 4 in
   let found d =
-    search ~stats:effort ~field_cache ~is_defect ~use_weights:weight_update
-      grid tr ~srcs ~dsts ~delay:d
+    search ~stats:effort ?is_defect ~use_weights:weight_update grid tr ~srcs
+      ~dsts ~delay:d
     |> Option.map (fun path -> (path, d))
   in
   let ladder = delay :: List.filter (fun d -> d > delay) delay_candidates in
@@ -109,9 +110,11 @@ let route_one ?(weight_update = true) ?(is_defect = no_defect)
     (* Spatially blocked or hopelessly congested: fall back to the
        shortest obstacle-avoiding path and postpone along it. *)
     if cold then Telemetry.incr ~cat:"route" "conflict.rejections";
-    let usable xy = (not (Rgrid.blocked grid xy)) && not (is_defect xy) in
+    let usable =
+      avoiding ?is_defect grid (fun i -> not (Rgrid.blocked_at grid i))
+    in
     (match
-       Astar.search_multi ~stats:effort ~field_cache grid ~srcs ~dsts ~usable
+       Astar.search_multi ~stats:effort grid ~srcs ~dsts ~usable
          ~use_weights:false
      with
      | Some path -> settle path

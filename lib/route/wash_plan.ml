@@ -28,7 +28,7 @@ let border_cells grid =
 (* Shortest obstacle-avoiding connection from [cell] to the chip border
    (possibly just [cell] itself when it already sits on the border). *)
 let to_border grid cell =
-  let usable xy = not (Rgrid.blocked grid xy) in
+  let usable i = not (Rgrid.blocked_at grid i) in
   match Astar.search_multi grid ~srcs:[ cell ] ~dsts:(border_cells grid)
           ~usable ~use_weights:false
   with

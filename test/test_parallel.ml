@@ -246,7 +246,7 @@ let prop_astar_stats_deterministic =
              ~dsts:
                [ (Mfb_route.Rgrid.width grid - 1,
                   Mfb_route.Rgrid.height grid - 1) ]
-             ~usable:(fun c -> not (Mfb_route.Rgrid.blocked grid c))
+             ~usable:(fun i -> not (Mfb_route.Rgrid.blocked_at grid i))
              ~use_weights:false
          with
         | Some _ | None -> ());

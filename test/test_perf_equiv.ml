@@ -2,8 +2,8 @@
    annealing walk against a copy of the Chip-based walk it replaced and
    its incremental energy against a from-scratch recompute, the
    array-backed Rgrid queries against their retained list-based
-   references, and the BFS heuristic field against the per-destination
-   Manhattan fold.  These properties are the contract that lets the
+   references, and the one-pass A* against a copy of the two-pass
+   search it replaced.  These properties are the contract that lets the
    optimized inner loops replace the originals without moving a single
    byte of synthesis output. *)
 
@@ -13,6 +13,8 @@ module Walk = Mfb_place.Walk
 module Annealer = Mfb_place.Annealer
 module Rgrid = Mfb_route.Rgrid
 module Astar = Mfb_route.Astar
+module Router = Mfb_route.Router
+module Pqueue = Mfb_util.Pqueue
 module Interval = Mfb_util.Interval
 module Fluid = Mfb_bioassay.Fluid
 module Allocation = Mfb_component.Allocation
@@ -289,8 +291,12 @@ let occs_gen =
     list_size (int_bound 12) (triple (int_bound 120) (int_bound 12) (int_bound 2)))
 
 let agree grid cell iv fluid =
-  Rgrid.conflict_free grid cell iv fluid
-  = Rgrid.conflict_free_ref grid cell iv fluid
+  let verdict = Rgrid.conflict_free_ref grid cell iv fluid in
+  Rgrid.conflict_free grid cell iv fluid = verdict
+  && Rgrid.conflict_free_at grid
+       ((snd cell * Rgrid.width grid) + fst cell)
+       iv fluid
+     = verdict
   && Float.equal
        (Rgrid.required_delay grid cell iv fluid)
        (Rgrid.required_delay_ref grid cell iv fluid)
@@ -340,66 +346,204 @@ let prop_rgrid_differential =
           queries
       end)
 
-(* --- BFS heuristic field ------------------------------------------------ *)
+(* --- One-pass A* ---------------------------------------------------------- *)
 
-let prop_heuristic_field =
-  qtest ~count:120 "BFS heuristic field = Manhattan fold on every cell"
-    QCheck2.Gen.(
-      triple (int_range 1 24) (int_range 1 24)
-        (list_size (int_range 1 6) (pair (int_bound 23) (int_bound 23))))
-    (fun (w, h, dsts) ->
-      let dsts = List.map (fun (x, y) -> (x mod w, y mod h)) dsts in
-      let field = Astar.heuristic_field ~w ~h dsts in
-      let ok = ref true in
-      for y = 0 to h - 1 do
-        for x = 0 to w - 1 do
-          let fold =
-            List.fold_left
-              (fun acc d -> Float.min acc (Astar.manhattan (x, y) d))
-              infinity dsts
-          in
-          if not (Float.equal (float_of_int field.((y * w) + x)) fold) then
-            ok := false
-        done
-      done;
-      !ok)
+(* A copy of the two-pass search that [search_multi] replaced, on cell
+   coordinates.  A bidirectional flood over the usable cells, one cell
+   per side in turn with the source side first, answers [None] when a
+   side runs dry before the two touch.  Otherwise A* runs with a BFS
+   distance field from the usable destinations as its heuristic, on a
+   [Pqueue], whose tie rules the scratch heap copies. *)
+let two_pass_search grid ~srcs ~dsts ~usable ~use_weights =
+  let w = Rgrid.width grid and h = Rgrid.height grid in
+  let idx (x, y) = (y * w) + x and cell i = (i mod w, i / w) in
+  let neighbours i =
+    let x = i mod w and y = i / w in
+    List.filter_map Fun.id
+      [ (if x > 0 then Some (i - 1) else None);
+        (if x < w - 1 then Some (i + 1) else None);
+        (if y > 0 then Some (i - w) else None);
+        (if y < h - 1 then Some (i + w) else None) ]
+  in
+  let srcs = List.filter usable srcs and dsts = List.filter usable dsts in
+  (* 0 unknown, 1 source side, 2 destination side, 3 unusable *)
+  let side = Array.make (w * h) 0 and touched = ref false in
+  let claim q s i =
+    if side.(i) = 0 then begin
+      side.(i) <- s;
+      Queue.add i q
+    end
+    else if side.(i) <> s then touched := true
+  in
+  let qs = Queue.create () and qd = Queue.create () in
+  List.iter (fun xy -> claim qs 1 (idx xy)) srcs;
+  List.iter (fun xy -> claim qd 2 (idx xy)) dsts;
+  let step q s =
+    List.iter
+      (fun j ->
+        if side.(j) = 0 then
+          if usable (cell j) then claim q s j else side.(j) <- 3
+        else if side.(j) <> s && side.(j) <> 3 then touched := true)
+      (neighbours (Queue.pop q))
+  in
+  let rec meet src_turn =
+    let q, s = if src_turn then (qs, 1) else (qd, 2) in
+    !touched || ((not (Queue.is_empty q)) && (step q s; meet (not src_turn)))
+  in
+  if srcs = [] || dsts = [] || not (meet true) then None
+  else begin
+    let field = Array.make (w * h) (-1) and q = Queue.create () in
+    List.iter
+      (fun xy ->
+        if field.(idx xy) < 0 then begin
+          field.(idx xy) <- 0;
+          Queue.add (idx xy) q
+        end)
+      dsts;
+    while not (Queue.is_empty q) do
+      let i = Queue.pop q in
+      List.iter
+        (fun j ->
+          if field.(j) < 0 then begin
+            field.(j) <- field.(i) + 1;
+            Queue.add j q
+          end)
+        (neighbours i)
+    done;
+    let cost i =
+      1. +. if use_weights then Rgrid.weight grid (cell i) else 0.
+    in
+    let g = Array.make (w * h) infinity and parent = Array.make (w * h) (-1) in
+    let closed = Array.make (w * h) false in
+    let open_list = Pqueue.create ~cmp:Float.compare in
+    let record i gi p =
+      g.(i) <- gi;
+      parent.(i) <- p;
+      Pqueue.push open_list (gi +. float_of_int field.(i)) i
+    in
+    List.iter
+      (fun xy ->
+        let c = cost (idx xy) in
+        if c < g.(idx xy) then record (idx xy) c (-1))
+      srcs;
+    let rec path i acc =
+      let acc = cell i :: acc in
+      if parent.(i) < 0 then acc else path parent.(i) acc
+    in
+    let rec loop () =
+      match Pqueue.pop open_list with
+      | None -> None
+      | Some (_, i) ->
+        if List.mem (cell i) dsts then Some (path i [])
+        else if closed.(i) then loop ()
+        else begin
+          closed.(i) <- true;
+          List.iter
+            (fun j ->
+              if (not closed.(j)) && usable (cell j) then begin
+                let t = g.(i) +. cost j in
+                if t < g.(j) -. 1e-12 then record j t i
+              end)
+            (neighbours i);
+          loop ()
+        end
+    in
+    loop ()
+  end
 
-(* --- Reachability flood ---------------------------------------------------- *)
-
-(* [search_multi] answers [Some] exactly when the usable cells connect a
-   source to a destination, and its path is a least-cost usable walk
-   from a source to a destination.  Weights are multiples of 0.5, so
-   every cost sum is exact; their wide spread sends A* past the cells
-   the flood already judged, so memoized verdicts are re-read too. *)
+(* [search_multi] answers with exactly the path of the two-pass search,
+   and [Some] exactly when the usable cells connect a source to a
+   destination, with a least-cost usable walk.  Weights are multiples
+   of 0.5, so every cost sum is exact; a spread of 1 or 3 makes ties
+   common (and unweighted searches are all ties), while a spread of 30
+   sends A* past cells the flood already judged.  One mask in three
+   rings the sources with unusable cells, and one in three the
+   destinations, so the open list empties with the flood still going,
+   and the flood runs dry with A* still going. *)
 let prop_flood_search =
   let cell = QCheck2.Gen.(pair (int_bound 7) (int_bound 7)) in
   let ends = QCheck2.Gen.(list_size (int_range 1 3) cell) in
-  qtest ~count:600 "search_multi = BFS reachability + Dijkstra cost"
+  qtest ~count:900 "search_multi = BFS reachability + Dijkstra cost"
     QCheck2.Gen.(
       quad
-        (triple (int_range 1 8) (int_range 1 8) bool)
-        (list_repeat 64 (int_bound 9))
+        (quad (int_range 1 8) (int_range 1 8) bool (oneofl [ 1; 3; 30 ]))
+        (pair (int_bound 2) (list_repeat 64 (int_bound 9)))
         (list_repeat 64 (int_bound 30))
         (pair ends ends))
-    (fun ((w, h, use_weights), mask, weights, (srcs, dsts)) ->
+    (fun ((w, h, use_weights, spread), (walled, mask), weights, (srcs, dsts))
+       ->
       let mask = Array.of_list mask and weights = Array.of_list weights in
       let at (x, y) = (y * w) + x in
       let fit = List.map (fun (x, y) -> (x mod w, y mod h)) in
       let srcs = fit srcs and dsts = fit dsts in
-      let usable xy = mask.(at xy) < 6 in
+      let ring ends (x, y) =
+        (not (List.mem (x, y) ends))
+        && List.exists (fun (ex, ey) -> abs (x - ex) + abs (y - ey) = 1) ends
+      in
+      let usable xy =
+        match walled with
+        | 1 -> mask.(at xy) < 9 && not (ring srcs xy)
+        | 2 -> mask.(at xy) < 9 && not (ring dsts xy)
+        | _ -> mask.(at xy) < 6
+      in
       let grid =
         Rgrid.create ~we:0.
           { Chip.width = w; height = h; components = [||]; places = [||] }
       in
       for i = 0 to (w * h) - 1 do
-        Rgrid.set_weight grid (i mod w, i / w) (0.5 *. float_of_int weights.(i))
+        Rgrid.set_weight grid (i mod w, i / w)
+          (0.5 *. float_of_int (weights.(i) mod (spread + 1)))
       done;
-      Testkit.search_agrees grid ~usable ~use_weights srcs dsts
-        (Astar.search_multi grid ~srcs ~dsts ~usable ~use_weights))
+      let answer =
+        Astar.search_multi grid ~srcs ~dsts
+          ~usable:(Testkit.by_index ~w usable) ~use_weights
+      in
+      answer = two_pass_search grid ~srcs ~dsts ~usable ~use_weights
+      && Testkit.search_agrees grid ~usable ~use_weights srcs dsts answer)
+
+(* Routing the Table I assays allocates at most 30 words per A* pop,
+   summed over all seven: a verdict on a cell allocates nothing, and the
+   search state lives in the scratch.  (The two smallest assays pop a
+   few hundred times, so their grids and results alone exceed that per
+   pop.)  Pops are counted in a traced pass, words in an untraced one. *)
+let test_routing_allocation () =
+  let config = Mfb_core.Config.default in
+  let words, pops =
+    List.fold_left
+      (fun (words, pops) (inst : Mfb_core.Suite.instance) ->
+        let sched =
+          Mfb_schedule.Engine.run ~case1:true ~tc:config.tc inst.graph
+            inst.allocation
+        in
+        let nets =
+          Energy.weigh ~beta:config.beta ~gamma:config.gamma
+            (Mfb_place.Net.of_schedule sched)
+        in
+        let chip =
+          (Annealer.place ~params:config.sa ~rng:(Rng.create config.seed)
+             ~nets sched.components)
+            .chip
+        in
+        let route () = Router.route ~we:config.we ~tc:config.tc chip sched in
+        let traced =
+          Test_util.with_fake_sink (fun sink ->
+              ignore (route ());
+              Mfb_util.Telemetry.counter_total sink ~cat:"route" "astar.pops")
+        in
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (route ()));
+        (words +. (Gc.minor_words () -. w0), pops + traced))
+      (0., 0) (Mfb_core.Suite.all ())
+  in
+  let per_pop = words /. float_of_int pops in
+  if per_pop > 30. then
+    Alcotest.failf "%.1f words per A* pop (at most 30)" per_pop
 
 let suites =
   [ ( "perf.equiv",
       [ prop_incremental_energy; prop_walk_oracle; prop_rgrid_differential;
-        prop_heuristic_field; prop_flood_search;
+        prop_flood_search;
         Alcotest.test_case "walk allocates at most 200 words per move"
-          `Quick test_walk_allocation ] ) ]
+          `Quick test_walk_allocation;
+        Alcotest.test_case "routing allocates at most 30 words per A* pop"
+          `Quick test_routing_allocation ] ) ]

@@ -193,9 +193,14 @@ let free_grid () =
      open space for path tests. *)
   grid_of (1, 0, 0, 0)
 
+(* [f] on cell coordinates, as the index predicate A* asks. *)
+let cells grid f = Testkit.by_index ~w:(Rgrid.width grid) f
+
+let free grid = cells grid (fun xy -> not (Rgrid.blocked grid xy))
+
 let test_astar_straight_line () =
   let grid = free_grid () in
-  let usable xy = not (Rgrid.blocked grid xy) in
+  let usable = free grid in
   match
     Astar.search_multi grid ~srcs:[ (6, 6) ] ~dsts:[ (10, 6) ]
       ~usable ~use_weights:false
@@ -211,9 +216,10 @@ let test_astar_detour () =
   let grid = free_grid () in
   (* Wall off a vertical line except one doorway. *)
   let wall x = List.init (Rgrid.height grid) (fun y -> (x, y)) in
-  let usable (cx, cy) =
-    (not (Rgrid.blocked grid (cx, cy)))
-    && not (List.mem (cx, cy) (List.filter (fun (_, y) -> y <> 0) (wall 8)))
+  let door_wall = List.filter (fun (_, y) -> y <> 0) (wall 8) in
+  let usable =
+    cells grid (fun xy ->
+        (not (Rgrid.blocked grid xy)) && not (List.mem xy door_wall))
   in
   match
     Astar.search_multi grid ~srcs:[ (6, 6) ] ~dsts:[ (10, 6) ]
@@ -227,7 +233,9 @@ let test_astar_detour () =
 
 let test_astar_unreachable () =
   let grid = free_grid () in
-  let usable (cx, _) = cx <> 8 && not (Rgrid.blocked grid (cx, 0)) in
+  let usable =
+    cells grid (fun (cx, _) -> cx <> 8 && not (Rgrid.blocked grid (cx, 0)))
+  in
   Alcotest.(check bool) "walled off" true
     (Astar.search_multi grid ~srcs:[ (6, 6) ] ~dsts:[ (10, 6) ]
        ~usable ~use_weights:false
@@ -239,7 +247,7 @@ let test_astar_weights_steer () =
   for x = 0 to Rgrid.width grid - 1 do
     Rgrid.set_weight grid (x, 9) 0.1
   done;
-  let usable xy = not (Rgrid.blocked grid xy) in
+  let usable = free grid in
   match
     Astar.search_multi grid ~srcs:[ (5, 9) ] ~dsts:[ (11, 9) ]
       ~usable ~use_weights:true
@@ -251,7 +259,7 @@ let test_astar_weights_steer () =
 
 let test_astar_multi_picks_nearest () =
   let grid = free_grid () in
-  let usable xy = not (Rgrid.blocked grid xy) in
+  let usable = free grid in
   match
     Astar.search_multi grid ~srcs:[ (6, 6) ]
       ~dsts:[ (11, 11); (8, 6) ]
@@ -264,7 +272,7 @@ let test_astar_multi_picks_nearest () =
 
 let test_astar_src_is_dst () =
   let grid = free_grid () in
-  let usable xy = not (Rgrid.blocked grid xy) in
+  let usable = free grid in
   match
     Astar.search_multi grid ~srcs:[ (6, 6) ] ~dsts:[ (6, 6) ] ~usable
       ~use_weights:false
@@ -273,23 +281,39 @@ let test_astar_src_is_dst () =
   | Some p -> Alcotest.failf "expected singleton, got %d cells" (List.length p)
   | None -> Alcotest.fail "no trivial path"
 
-let test_astar_unreachable_builds_no_field () =
+(* A search whose source or destination is walled into a two-cell
+   pocket ends after two pops, whichever side is walled in: on the
+   source side the open list empties, on the destination side the flood
+   runs dry; the flood steps once per pop until then.  The search still
+   counts as an A* search. *)
+let walled_in_search walled =
   let grid = free_grid () in
-  (* column 8 walls the source off from the destination *)
-  let usable (cx, cy) = cx <> 8 && not (Rgrid.blocked grid (cx, cy)) in
-  let field_cache = Hashtbl.create 4 in
+  let inside = (6, 6) and outside = (11, 11) in
+  let pocket = [ inside; (7, 6) ] in
+  let near (x, y) =
+    List.exists (fun (px, py) -> abs (x - px) + abs (y - py) <= 1) pocket
+  in
+  let usable =
+    cells grid (fun xy ->
+        (not (Rgrid.blocked grid xy)) && (List.mem xy pocket || not (near xy)))
+  in
+  let srcs, dsts =
+    match walled with
+    | `Source -> ([ inside ], [ outside ])
+    | `Destination -> ([ outside ], [ inside ])
+  in
+  let stats = Astar.stats () in
   Test_util.with_fake_sink (fun sink ->
       Alcotest.(check bool) "no path" true
-        (Astar.search_multi ~field_cache grid ~srcs:[ (6, 6) ]
-           ~dsts:[ (10, 6) ] ~usable ~use_weights:true
+        (Astar.search_multi ~stats grid ~srcs ~dsts ~usable ~use_weights:true
          = None);
       let count = Telemetry.counter_total sink ~cat:"route" in
-      Alcotest.(check int) "no heuristic field built" 0
-        (count "heuristic_field_builds");
-      Alcotest.(check int) "nothing cached" 0 (Hashtbl.length field_cache);
-      Alcotest.(check int) "no A* search" 0 (count "astar.searches");
-      Alcotest.(check bool) "the flood did the work" true
-        (count "flood.visits" > 0))
+      Alcotest.(check int) "one A* search" 1 (count "astar.searches");
+      Alcotest.(check int) "two pops" 2 stats.pops;
+      Alcotest.(check int) "two flood visits" 2 (count "flood.visits"))
+
+let test_astar_walled_in_source () = walled_in_search `Source
+let test_astar_walled_in_destination () = walled_in_search `Destination
 
 let test_path_cost () =
   let grid = free_grid () in
@@ -300,16 +324,12 @@ let test_path_cost () =
 
 let test_astar_tie_breaking_deterministic () =
   (* A diagonal search on an open grid has many equal-cost paths; the
-     search must pick the same one on every run, on a fresh grid, and
-     with or without a shared heuristic-field cache (the open-queue
-     tie-breaking depends only on the push sequence, which the BFS field
-     preserves). *)
-  let search ?field_cache grid =
-    let usable xy = not (Rgrid.blocked grid xy) in
+     search must pick the same one on every run and on a fresh grid (the
+     open-queue tie-breaking depends only on the push sequence). *)
+  let search grid =
     match
-      Astar.search_multi ?field_cache grid ~srcs:[ (5, 5) ]
-        ~dsts:[ (11, 11); (11, 10) ]
-        ~usable ~use_weights:false
+      Astar.search_multi grid ~srcs:[ (5, 5) ] ~dsts:[ (11, 11); (11, 10) ]
+        ~usable:(free grid) ~use_weights:false
     with
     | Some path -> path
     | None -> Alcotest.fail "no path on free grid"
@@ -320,13 +340,7 @@ let test_astar_tie_breaking_deterministic () =
     Alcotest.(check bool) "stable across runs" true (search grid = reference)
   done;
   Alcotest.(check bool) "stable across grids" true
-    (search (free_grid ()) = reference);
-  let field_cache = Hashtbl.create 4 in
-  Alcotest.(check bool) "cold cache identical" true
-    (search ~field_cache grid = reference);
-  Alcotest.(check bool) "warm cache identical" true
-    (search ~field_cache grid = reference);
-  Alcotest.(check int) "cache was shared" 1 (Hashtbl.length field_cache)
+    (search (free_grid ()) = reference)
 
 (* Searches share one scratch per domain, grown to the largest grid
    seen, whose stale entries a later search must never read. *)
@@ -345,14 +359,13 @@ let test_astar_scratch_across_sizes () =
     let xy = (i mod Rgrid.width big, i / Rgrid.width big) in
     Rgrid.set_weight big xy (0.5 *. float_of_int (i * 7 mod 11))
   done;
-  let free grid xy = not (Rgrid.blocked grid xy) in
   let big_search () =
     effort_search big ~srcs:(Rgrid.ports big 0) ~dsts:(Rgrid.ports big 6)
       ~usable:(free big)
   in
   let small_search () =
     effort_search small ~srcs:[ (0, 0) ] ~dsts:[ (4, 3) ]
-      ~usable:(fun (x, y) -> x <> 2 || y = 3)
+      ~usable:(cells small (fun (x, y) -> x <> 2 || y = 3))
   in
   (* A fresh domain starts with an empty scratch. *)
   let fresh f = Domain.join (Domain.spawn f) in
@@ -386,7 +399,7 @@ let test_astar_reentrant_usable () =
     let dst = (x + 4, y + 4) in
     let answer =
       Astar.search_multi inner ~srcs:[ (0, 0) ] ~dsts:[ dst ]
-        ~usable:inner_usable ~use_weights:false
+        ~usable:(cells inner inner_usable) ~use_weights:false
     in
     (match Hashtbl.find_opt answers dst with
      | Some earlier -> if earlier <> answer then consistent := false
@@ -394,7 +407,10 @@ let test_astar_reentrant_usable () =
     answer <> None
   in
   let srcs = [ (0, 0) ] and dsts = [ (11, 11) ] in
-  let answer = Astar.search_multi outer ~srcs ~dsts ~usable ~use_weights:true in
+  let answer =
+    Astar.search_multi outer ~srcs ~dsts ~usable:(cells outer usable)
+      ~use_weights:true
+  in
   Alcotest.(check bool) "outer path through the doorway" true
     (match answer with Some path -> List.mem (5, 6) path | None -> false);
   Alcotest.(check bool) "outer answer least-cost" true
@@ -464,10 +480,11 @@ let test_settle_delay_resolves () =
   match Routed.settle_delay grid tr ~src_ports:[ (6, 6) ] path with
   | Some d ->
     Alcotest.(check bool) "positive" true (d > 0.);
+    let usable = Routed.usable grid tr ~delay:d ~src_ports:[ (6, 6) ] in
     List.iter
-      (fun xy ->
+      (fun (x, y) ->
         Alcotest.(check bool) "free after delay" true
-          (Routed.usable grid tr ~delay:d ~src_ports:[ (6, 6) ] xy))
+          (usable ((y * Rgrid.width grid) + x)))
       path
   | None -> Alcotest.fail "expected a finite settle delay"
 
@@ -1046,8 +1063,10 @@ let suites =
         Alcotest.test_case "multi-target nearest" `Quick
           test_astar_multi_picks_nearest;
         Alcotest.test_case "src = dst" `Quick test_astar_src_is_dst;
-        Alcotest.test_case "unreachable builds no heuristic field" `Quick
-          test_astar_unreachable_builds_no_field;
+        Alcotest.test_case "walled-in source" `Quick
+          test_astar_walled_in_source;
+        Alcotest.test_case "walled-in destination" `Quick
+          test_astar_walled_in_destination;
         Alcotest.test_case "path cost" `Quick test_path_cost;
         Alcotest.test_case "tie-breaking deterministic" `Quick
           test_astar_tie_breaking_deterministic;

@@ -19,6 +19,10 @@ let suite_instances () =
     (fun (inst : Mfb_core.Suite.instance) -> (inst.graph, inst.allocation))
     (Mfb_core.Suite.all ())
 
+(* [f], a predicate on the cells of a grid [w] cells wide, as the
+   predicate on cell indices that [Astar.search_multi] asks. *)
+let by_index ~w f i = f (i mod w, i / w)
+
 (* Oracles for [Astar.search_multi] on a bare grid: breadth-first
    reachability from the usable sources, and Dijkstra's least path cost
    under the cost model of [Astar.path_cost] (every cell entered, the
