@@ -42,6 +42,9 @@ val run_pairs :
     order and bit-for-bit independent of [jobs]. *)
 
 val find : string -> instance option
-(** Case-insensitive lookup by benchmark name. *)
+(** Case-insensitive lookup by benchmark name.  Names are compared
+    before anything is built, so only the named instance is generated;
+    [find "nope"] builds nothing. *)
 
 val names : string list
+(** The graph names of {!all}, in the same order. *)

@@ -63,6 +63,11 @@ val start_order : Mfb_schedule.Types.t -> Mfb_schedule.Types.transport list
 (** The schedule's transports in routing order: by removal time, ties
     broken by departure time (paper Alg. 2 routes in start order). *)
 
+val border_cells : Rgrid.t -> (int * int) list
+(** The unblocked chip-edge cells, where reservoirs and outlets attach:
+    the top and bottom rows, then the left and right columns, so each
+    unblocked corner is listed twice. *)
+
 val endpoints :
   Rgrid.t ->
   kind ->

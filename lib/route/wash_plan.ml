@@ -16,21 +16,13 @@ type t = {
   buffer_volume_cells : float;
 }
 
-let border_cells grid =
-  let w = Rgrid.width grid and h = Rgrid.height grid in
-  let top = List.init w (fun x -> (x, 0)) in
-  let bottom = List.init w (fun x -> (x, h - 1)) in
-  let left = List.init h (fun y -> (0, y)) in
-  let right = List.init h (fun y -> (w - 1, y)) in
-  List.filter (fun xy -> not (Rgrid.blocked grid xy))
-    (top @ bottom @ left @ right)
-
 (* Shortest obstacle-avoiding connection from [cell] to the chip border
    (possibly just [cell] itself when it already sits on the border). *)
 let to_border grid cell =
   let usable i = not (Rgrid.blocked_at grid i) in
-  match Astar.search_multi grid ~srcs:[ cell ] ~dsts:(border_cells grid)
-          ~usable ~use_weights:false
+  match
+    Astar.search_multi grid ~srcs:[ cell ] ~dsts:(Routed.border_cells grid)
+      ~usable ~use_weights:false
   with
   | Some path -> path
   | None -> [ cell ]

@@ -66,11 +66,33 @@ let test_suite_matches_table1 () =
         (Mfb_component.Allocation.to_string inst.allocation))
     expected (Suite.all ())
 
+(* [find] builds only the instance it names; it must be the one at the
+   same position of [all], under any casing of the name. *)
 let test_suite_find () =
-  Alcotest.(check bool) "finds pcr (case-insensitive)" true
-    (Suite.find "pcr" <> None);
-  Alcotest.(check bool) "unknown" true (Suite.find "nope" = None);
-  Alcotest.(check int) "names" 7 (List.length Suite.names)
+  let all = Suite.all () in
+  Alcotest.(check (list string)) "names are the graph names of all"
+    (List.map
+       (fun (inst : Suite.instance) -> Mfb_bioassay.Seq_graph.name inst.graph)
+       all)
+    Suite.names;
+  let fingerprint (inst : Suite.instance) =
+    ( Mfb_bioassay.Seq_graph.name inst.graph,
+      Mfb_bioassay.Seq_graph.n_ops inst.graph,
+      Mfb_bioassay.Seq_graph.edges inst.graph,
+      Mfb_component.Allocation.to_string inst.allocation )
+  in
+  List.iter2
+    (fun name expected ->
+      List.iter
+        (fun query ->
+          match Suite.find query with
+          | None -> Alcotest.failf "find %S: none" query
+          | Some inst ->
+            Alcotest.(check bool) ("find " ^ query) true
+              (fingerprint inst = fingerprint expected))
+        [ String.lowercase_ascii name; String.uppercase_ascii name; name ])
+    Suite.names all;
+  Alcotest.(check bool) "unknown" true (Suite.find "nope" = None)
 
 (* --- Flow sanity per benchmark --- *)
 

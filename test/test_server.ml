@@ -1011,6 +1011,41 @@ let test_batch_duplicate_counts_once () =
        [ [ "submitted" ]; [ "computed" ]; [ "cache"; "hits" ];
          [ "cache"; "misses" ] ])
 
+(* A cache hit is served without synthesis, so it should allocate
+   little: resolving the benchmark, the key, and the two replies.  At
+   about 3,750 minor words a submit+result pair, the bound leaves room
+   for noise but not for rebuilding the whole Table I suite on every
+   lookup (about 27,000 words a pair). *)
+let test_cache_hit_allocation () =
+  let s = Server.create Server.default_config in
+  let pair id =
+    ( Printf.sprintf {|{"op":"submit","id":"%s","benchmark":"PCR"}|} id,
+      Printf.sprintf {|{"op":"result","id":"%s"}|} id )
+  in
+  let serve (submit, result) =
+    ignore (Server.handle_line s submit);
+    Server.handle_line s result
+  in
+  ignore (serve (pair "warm-up"));
+  let n = 1_000 in
+  let lines = Array.init n (fun i -> pair (Printf.sprintf "hit%d" i)) in
+  let results = Array.make n None in
+  let before = Gc.minor_words () in
+  Array.iteri (fun i p -> results.(i) <- serve p) lines;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Array.iter
+    (function
+      | Some r when String.starts_with ~prefix:{|{"ok":true,"op":"result"|} r
+        -> ()
+      | r -> Alcotest.failf "result: %s" (Option.value r ~default:"none"))
+    results;
+  let stats = Server.stats_json s in
+  Alcotest.(check (list int)) "computed, hits" [ 1; n ]
+    (List.map (stat_int stats) [ [ "computed" ]; [ "cache"; "hits" ] ]);
+  if words > 8_000. then
+    Alcotest.failf "a cache-hit pair allocates %.0f minor words (limit 8,000)"
+      words
+
 (* The serving load script: seed 7, 240 PCR submits, each followed by
    its result, 90% of them repeats of 8 hot job seeds and the rest a
    fresh seed each.  A caching server must answer every request with
@@ -1404,6 +1439,8 @@ let suites =
         Alcotest.test_case "batch duplicate counts one miss" `Quick
           test_batch_duplicate_counts_once;
         Alcotest.test_case "load script" `Quick test_load_script;
+        Alcotest.test_case "cache hit allocates at most 8,000 words" `Quick
+          test_cache_hit_allocation;
         prop_server_responses_invariant;
       ] );
   ]
