@@ -16,17 +16,28 @@ module Stats = Mfb_util.Stats
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
 
+(* The value after [name] on the command line, parsed; [default] when
+   the flag is absent or its value does not parse. *)
+let arg_value name default parse =
+  let rec scan i =
+    if i + 1 >= Array.length Sys.argv then default
+    else if Sys.argv.(i) = name then
+      match parse Sys.argv.(i + 1) with Some v -> v | None -> default
+    else scan (i + 1)
+  in
+  scan 0
+
 (* --jobs N on the command line; defaults to the host's recommended
    domain count.  Every parallel section is deterministic in the result,
    so the flag only moves wall-clock time. *)
 let jobs =
-  Bench_kit.arg_value "--jobs" (Mfb_util.Pool.default_jobs ()) (fun s ->
+  arg_value "--jobs" (Mfb_util.Pool.default_jobs ()) (fun s ->
       match int_of_string_opt s with Some j when j >= 1 -> Some j | _ -> None)
 
 (* --trace FILE records telemetry over the whole harness run and writes
    a Chrome trace_event JSON (open in Perfetto; validate with
    'dcsa-synth trace FILE'). *)
-let trace_file = Bench_kit.arg_value "--trace" None (fun s -> Some (Some s))
+let trace_file = arg_value "--trace" None (fun s -> Some (Some s))
 
 let trace_sink =
   match trace_file with

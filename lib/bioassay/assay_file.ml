@@ -177,10 +177,6 @@ let to_string g =
     (List.sort compare (Seq_graph.edges g));
   Buffer.contents buf
 
-let to_file path g =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string g))
-
 let pp_error ppf e =
   if e.line = 0 then Format.fprintf ppf "%s" e.message
   else Format.fprintf ppf "line %d: %s" e.line e.message

@@ -34,6 +34,4 @@ val to_string : Seq_graph.t -> string
 (** Serialize a graph; [parse (to_string g)] reconstructs a graph equal in
     name, operations, and edge set. *)
 
-val to_file : string -> Seq_graph.t -> unit
-
 val pp_error : Format.formatter -> error -> unit

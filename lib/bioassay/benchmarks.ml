@@ -109,5 +109,3 @@ let fig2_example () =
     ]
   in
   Seq_graph.create ~name:"Fig2-example" ~ops ~edges
-
-let all () = [ pcr (); ivd (); cpa () ]

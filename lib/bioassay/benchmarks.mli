@@ -30,6 +30,3 @@ val fig2_example : unit -> Seq_graph.t
 (** The 10-operation illustrative bioassay of the paper's Fig. 2(a),
     reconstructed from the bindings and transports discussed in §II-C
     (o1 -> o5 -> o7 -> o10 is the critical path; o3, o4 -> o6). *)
-
-val all : unit -> Seq_graph.t list
-(** [pcr; ivd; cpa] in the order of Table I. *)

@@ -23,8 +23,6 @@ let kind_of_index = function
   | 3 -> Detect
   | n -> invalid_arg (Printf.sprintf "Operation.kind_of_index: %d" n)
 
-let all_kinds = [| Mix; Heat; Filter; Detect |]
-
 let equal_kind (a : kind) (b : kind) = a = b
 
 let wash_time op = Fluid.wash_time op.output

@@ -26,8 +26,6 @@ val kind_index : kind -> int
 val kind_of_index : int -> kind
 (** Inverse of [kind_index]. @raise Invalid_argument when out of range. *)
 
-val all_kinds : kind array
-
 val equal_kind : kind -> kind -> bool
 
 val wash_time : t -> float

@@ -39,8 +39,6 @@ let edge_volume t e =
   | Some v -> v
   | None -> raise Not_found
 
-let production t op = t.production_of.(op)
-
 let external_input t op =
   let from_parents =
     List.fold_left
@@ -55,5 +53,3 @@ let total_reagent t =
     (fun acc op -> acc +. external_input t op)
     0.
     (List.init (Seq_graph.n_ops t.graph) Fun.id)
-
-let batches t op = max 1 (int_of_float (ceil (t.production_of.(op) -. 1e-9)))

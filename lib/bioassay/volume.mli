@@ -22,9 +22,6 @@ val edge_volume : t -> int * int -> float
 (** Chamber units carried over a dependency edge.
     @raise Not_found for an edge absent from the graph. *)
 
-val production : t -> int -> float
-(** Chamber units operation [op] must produce in total. *)
-
 val external_input : t -> int -> float
 (** Chamber units of fresh reagent dispensed into source operation [op]
     beyond what its parents deliver ([production - sum of in-edges]);
@@ -33,7 +30,3 @@ val external_input : t -> int -> float
 val total_reagent : t -> float
 (** Total fresh reagent consumed by the assay (sum of
     {!external_input} over all operations). *)
-
-val batches : t -> int -> int
-(** [ceil (production op)] — how many times the operation's component
-    chamber must be filled; at least 1. *)

@@ -7,7 +7,6 @@ type entry = { worker : int; job : int; kind : kind }
 type plan = entry list
 
 let empty = []
-let is_empty p = p = []
 
 let lookup p ~worker ~job =
   List.find_map
@@ -86,23 +85,3 @@ let of_file path =
     let* v = Json.of_string contents in
     of_json v
   | exception Sys_error msg -> Error msg
-
-let generate ~seed ~workers ~max_job ~rate () =
-  let rng = Random.State.make [| 0x6661756c; seed |] in
-  let faults = ref [] in
-  for worker = 0 to workers - 1 do
-    for job = 0 to max_job do
-      if Random.State.float rng 1.0 < rate then begin
-        let kind =
-          match Random.State.int rng 5 with
-          | 0 -> Crash
-          | 1 -> Stall
-          | 2 -> Garbage
-          | 3 -> Truncate
-          | _ -> Slow 0.05
-        in
-        faults := { worker; job; kind } :: !faults
-      end
-    done
-  done;
-  List.rev !faults

@@ -7,8 +7,8 @@
     its schedule from job 0 — "crash on the first job" poisons a slot
     reproducibly, which is exactly what the supervisor tests need.
 
-    Plans are plain JSON so the CLI, the chaos bench, and the cram tests
-    share one format:
+    Plans are plain JSON so the CLI, the tests and the cram tests share
+    one format:
 
     {v
     {"faults":[
@@ -35,7 +35,6 @@ type entry = { worker : int; job : int; kind : kind }
 type plan = entry list
 
 val empty : plan
-val is_empty : plan -> bool
 
 val lookup : plan -> worker:int -> job:int -> kind option
 (** First matching entry wins. *)
@@ -45,12 +44,3 @@ val of_json : Mfb_util.Json.t -> (plan, string) result
 
 val to_file : string -> plan -> unit
 val of_file : string -> (plan, string) result
-
-val generate :
-  seed:int -> workers:int -> max_job:int -> rate:float -> unit -> plan
-(** [generate ~seed ~workers ~max_job ~rate ()] draws, for every
-    [(worker, job)] pair with [worker < workers] and [job <= max_job],
-    a fault with probability [rate], its kind uniform over crash /
-    stall / garbage / truncate / slow(50ms).  Pure function of the
-    arguments — the chaos bench and CI replay identical schedules from
-    the seed alone. *)

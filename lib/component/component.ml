@@ -26,5 +26,3 @@ let kind_name = function
   | Mfb_bioassay.Operation.Detect -> "Detector"
 
 let label c = Printf.sprintf "%s%d" (kind_name c.kind) c.id
-
-let pp ppf c = Format.fprintf ppf "%s" (label c)

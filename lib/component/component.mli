@@ -23,5 +23,3 @@ val qualified : t -> Mfb_bioassay.Operation.t -> bool
 val label : t -> string
 (** Human-readable name such as ["Mixer1"] (1-based per kind is not
     tracked; the label is ["<Kind><id>"] with the global id). *)
-
-val pp : Format.formatter -> t -> unit

@@ -41,14 +41,3 @@ let count t = List.length t.site_list
 let sites t = t.site_list
 
 let index t xy = Hashtbl.find_opt t.site_index xy
-
-let valves_on_path t path =
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun xy ->
-      match index t xy with
-      | Some v when not (Hashtbl.mem seen v) ->
-        Hashtbl.replace seen v ();
-        Some v
-      | Some _ | None -> None)
-    path

@@ -23,7 +23,3 @@ val sites : t -> (int * int) list
 
 val index : t -> int * int -> int option
 (** Dense valve index of a cell, if a valve sits there. *)
-
-val valves_on_path : t -> (int * int) list -> int list
-(** Valve indices encountered along a routed path (deduplicated,
-    in path order). *)

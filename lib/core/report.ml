@@ -148,48 +148,6 @@ let metrics_table results =
     results;
   Table.render table
 
-let heuristic_gap results =
-  let module Portfolio = Mfb_schedule.Portfolio in
-  let table =
-    Table.create
-      ~headers:
-        [ "Benchmark"; "Ops"; "Heuristic (s)"; "Exact (s)"; "Gap (%)";
-          "Status"; "Explored" ]
-  in
-  Table.set_aligns table
-    [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-      Table.Left; Table.Right ];
-  let gaps = ref [] in
-  List.iter
-    (fun (r : Result.t) ->
-      match r.decision with
-      | None -> ()
-      | Some d ->
-        let gap = Portfolio.gap_percent d in
-        if d.optimal then gaps := gap :: !gaps;
-        Table.add_row table
-          [
-            r.benchmark;
-            string_of_int
-              (Mfb_bioassay.Seq_graph.n_ops r.schedule.Mfb_schedule.Types.graph);
-            Printf.sprintf "%.2f" d.heuristic_makespan;
-            Printf.sprintf "%.2f" d.makespan;
-            Printf.sprintf "%.1f" gap;
-            (if d.optimal then "optimal"
-             else Printf.sprintf "truncated@%d" d.fuel);
-            string_of_int d.explored;
-          ])
-    results;
-  if !gaps <> [] then begin
-    Table.add_separator table;
-    Table.add_row table
-      [
-        "Average (optimal only)"; "-"; "-"; "-";
-        Printf.sprintf "%.1f" (Stats.mean !gaps); "-"; "-";
-      ]
-  end;
-  Table.render table
-
 let suite_to_json pairs =
   Mfb_util.Json.List
     (List.concat_map

@@ -30,11 +30,4 @@ val metrics_table : Result.t list -> string
     deterministic (category, name) order).  Results carry metrics only
     when a {!Mfb_util.Telemetry} sink was installed during synthesis. *)
 
-val heuristic_gap : Result.t list -> string
-(** Heuristic-gap-vs-exact table over results that carry a backend
-    {!Result.t.decision} (others are skipped): heuristic and exact
-    makespans, relative gap, optimality status and nodes explored, with
-    the average gap over the optimally-solved rows.  An input with no
-    decisions renders a header-only table. *)
-
 val suite_to_json : (Result.t * Result.t) list -> Mfb_util.Json.t

@@ -125,13 +125,3 @@ let random rng components =
     loop 0
   in
   if all_placed then chip else scanline components
-
-let pp ppf chip =
-  Format.fprintf ppf "@[<v>chip %dx%d@," chip.width chip.height;
-  Array.iteri
-    (fun i c ->
-      let x, y, w, h = footprint chip i in
-      Format.fprintf ppf "  %s @@ (%d,%d) %dx%d@,"
-        (Component.label c) x y w h)
-    chip.components;
-  Format.fprintf ppf "@]"

@@ -53,5 +53,3 @@ val scanline : Mfb_component.Component.t array -> t
 (** Deterministic greedy row-by-row placement in component-id order. *)
 
 val copy : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -39,10 +39,3 @@ let connection_priority ~beta ~gamma net =
     (fun acc task ->
       acc +. (beta *. float_of_int task.concurrency) +. (gamma *. task.wash_time))
     0. net.tasks
-
-let task_count nets =
-  List.fold_left (fun acc net -> acc + List.length net.tasks) 0 nets
-
-let pp ppf net =
-  Format.fprintf ppf "net c%d-c%d (%d tasks)" net.a net.b
-    (List.length net.tasks)

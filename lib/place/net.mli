@@ -22,7 +22,3 @@ val of_schedule : Mfb_schedule.Types.t -> t list
 
 val connection_priority : beta:float -> gamma:float -> t -> float
 (** Paper Eq. 4: [sum_k (beta * nt_k + gamma * wt_k)]. *)
-
-val task_count : t list -> int
-
-val pp : Format.formatter -> t -> unit

@@ -14,8 +14,6 @@ let upto p ~tick =
     (fun e -> if e.tick <= tick then Some e.target else None)
     p
 
-let max_tick p = List.fold_left (fun acc e -> max acc e.tick) 0 p
-
 let target_to_string = function
   | Cell (x, y) -> Printf.sprintf "cell(%d,%d)" x y
   | Component c -> Printf.sprintf "component(%d)" c
@@ -111,8 +109,8 @@ let check (chip : Chip.t) p =
     (Ok ()) p
 
 (* Generators.  One fresh [Random.State] per call, seeded from the
-   caller's seed and a fixed tag, exactly like [Fault.generate] — the
-   plan is a pure function of (seed, chip). *)
+   caller's seed and a fixed tag, so the plan is a pure function of
+   (seed, chip). *)
 
 let rng_of seed = Random.State.make [| 0x64656663; seed |]
 

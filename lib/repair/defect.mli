@@ -3,8 +3,8 @@
 
     A {e defect plan} is the chip-fault analogue of the cluster tier's
     process-fault [Fault.plan]: a list of timed events, serialisable to
-    the same style of JSON file, shared verbatim by the CLI, the bench
-    sweeps and the cram tests.  Ticks are virtual — the serving tier's
+    the same style of JSON file, shared verbatim by the CLI, the tests
+    and the cram tests.  Ticks are virtual — the serving tier's
     request clock — so progressive degradation scenarios replay
     identically everywhere.
 
@@ -27,9 +27,6 @@ val targets : plan -> target list
 val upto : plan -> tick:int -> target list
 (** Targets of events with [tick <= tick] — the defect set visible at a
     virtual instant, for progressive scenarios. *)
-
-val max_tick : plan -> int
-(** Largest event tick; [0] for the empty plan. *)
 
 val target_to_string : target -> string
 (** ["cell(3,4)"] / ["component(2)"] — the rendering used by reports. *)

@@ -114,7 +114,3 @@ let check (chip : Chip.t) (routing : Routed.result) =
           (snd xy))
     used;
   List.rev !violations
-
-let is_clean chip routing = check chip routing = []
-
-let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.rule v.message

@@ -24,7 +24,3 @@ val check :
       over used cells);
     - ["occupation"]: every occupied cell of the final grid lies on some
       routed path. *)
-
-val is_clean : Mfb_place.Chip.t -> Routed.result -> bool
-
-val pp_violation : Format.formatter -> violation -> unit

@@ -103,7 +103,3 @@ let validate ~tc (sched : Types.t) =
     flag "makespan" "makespan %.3f <> max finish %.3f" sched.makespan
       max_finish;
   List.rev !violations
-
-let is_legal ~tc sched = validate ~tc sched = []
-
-let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.code v.message

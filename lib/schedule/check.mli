@@ -21,7 +21,3 @@ val validate : tc:float -> Types.t -> violation list
     - ["transport"]: a transport window is inconsistent
       ([removal > depart], [arrive <> depart + tc], wrong endpoints);
     - ["makespan"]: [makespan] is not the maximum finish time. *)
-
-val is_legal : tc:float -> Types.t -> bool
-
-val pp_violation : Format.formatter -> violation -> unit

@@ -42,14 +42,6 @@ let total_component_wash_time (sched : Types.t) =
     (fun acc (w : Types.wash_event) -> acc +. w.wash_duration)
     0. sched.washes
 
-let transport_count (sched : Types.t) = List.length sched.transports
-
-let in_place_count (sched : Types.t) =
-  Array.fold_left
-    (fun acc (t : Types.op_times) ->
-      if t.in_place_parent <> None then acc + 1 else acc)
-    0 sched.times
-
 let concurrency (sched : Types.t) tr =
   let iv = Types.transport_interval tr in
   List.fold_left

@@ -15,12 +15,6 @@ val total_channel_cache_time : Types.t -> float
 val total_component_wash_time : Types.t -> float
 (** Sum of all component wash durations incurred by the schedule. *)
 
-val transport_count : Types.t -> int
-
-val in_place_count : Types.t -> int
-(** Number of operations that consumed a parent output in place
-    (transports and washes eliminated by Case I). *)
-
 val busy_time : Types.t -> int -> float
 (** Total execution time bound to a given component. *)
 

@@ -852,12 +852,6 @@ let goodbye_json t =
   in
   Json.Obj (rows_json rows @ [ ("totals", Json.Obj totals) ])
 
-let latency_histogram t = t.h_latency
-
-let repair_latency_histogram t = t.h_repair
-
-let warm_latency_histogram t = t.h_warm
-
 let near_hit_counts t = (t.near_hits, t.warm_fallbacks)
 
 (* --- request handling --- *)

@@ -146,7 +146,11 @@ type config = {
   clock : [ `Virtual | `Wall ];
       (** latency-histogram units: [`Virtual] (default) observes batch
           ticks — deterministic; [`Wall] observes wall milliseconds for
-          real benchmarking.  Queue-wait is always measured in ticks. *)
+          real benchmarking.  Queue-wait is always measured in ticks.
+          Under [`Virtual] a repair or warm start observes 1 tick when
+          its full result or seed sat in the repair cache and 2 when it
+          was re-synthesized cold, so the [repair] and [near] latency
+          rows record cache temperature. *)
   access_log : out_channel option;
       (** when set, one JSONL record per finished request (id, cache key
           prefix, backend, outcome, queue/compute/total latency, fleet
@@ -225,22 +229,6 @@ val prometheus_stats : t -> string
 val current_tick : t -> int
 (** The virtual batch clock — one tick elapses per dispatched batch.
     Exposed so a CLI can drive a tick-based telemetry sink clock. *)
-
-val latency_histogram : t -> Mfb_util.Histogram.t
-(** The rolling total-latency histogram (clock units: ticks under
-    [`Virtual], milliseconds under [`Wall]). *)
-
-val repair_latency_histogram : t -> Mfb_util.Histogram.t
-(** The rolling repair-latency histogram (clock units).  Under the
-    virtual clock a warm-started repair observes 1 tick and a cold one
-    (full result re-synthesized first) 2 ticks, so the histogram is a
-    deterministic record of cache temperature. *)
-
-val warm_latency_histogram : t -> Mfb_util.Histogram.t
-(** The rolling warm-start latency histogram (clock units).  Under the
-    virtual clock a near-hit whose seed sat in the repair cache observes
-    1 tick, one whose seed had to be cold re-synthesized 2 ticks — the
-    same cache-temperature convention as repairs. *)
 
 val near_hit_counts : t -> int * int
 (** [(near hits, warm fallbacks)] so far. *)

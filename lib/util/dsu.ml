@@ -1,6 +1,6 @@
-type t = { parent : int array; rank : int array; mutable sets : int }
+type t = { parent : int array; rank : int array }
 
-let create n = { parent = Array.init n (fun i -> i); rank = Array.make n 0; sets = n }
+let create n = { parent = Array.init n (fun i -> i); rank = Array.make n 0 }
 
 let rec find t i =
   let p = t.parent.(i) in
@@ -14,7 +14,6 @@ let rec find t i =
 let union t i j =
   let ri = find t i and rj = find t j in
   if ri <> rj then begin
-    t.sets <- t.sets - 1;
     if t.rank.(ri) < t.rank.(rj) then t.parent.(ri) <- rj
     else if t.rank.(ri) > t.rank.(rj) then t.parent.(rj) <- ri
     else begin
@@ -22,7 +21,3 @@ let union t i j =
       t.rank.(ri) <- t.rank.(ri) + 1
     end
   end
-
-let same t i j = find t i = find t j
-
-let count t = t.sets

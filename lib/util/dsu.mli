@@ -11,8 +11,3 @@ val find : t -> int -> int
 
 val union : t -> int -> int -> unit
 (** Merge the two sets. *)
-
-val same : t -> int -> int -> bool
-
-val count : t -> int
-(** Number of disjoint sets remaining. *)

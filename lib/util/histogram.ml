@@ -1,7 +1,6 @@
 (* Fixed-layout geometric histogram.  Every instance shares the same
-   bucket boundaries, so merging is plain array addition and quantile
-   estimates from merged histograms equal those from one histogram fed
-   the union of observations. *)
+   bucket boundaries, so a bucket index names the same value range in
+   every histogram. *)
 
 let gamma = Float.pow 2.0 0.25
 
@@ -62,16 +61,6 @@ let min_value t = if t.count = 0 then 0.0 else t.min_v
 
 let max_value t = if t.count = 0 then 0.0 else t.max_v
 
-let merge a b =
-  let m = create () in
-  Array.iteri (fun i n -> m.counts.(i) <- n + b.counts.(i)) a.counts;
-  m.zero <- a.zero + b.zero;
-  m.count <- a.count + b.count;
-  m.sum <- a.sum +. b.sum;
-  m.min_v <- Float.min a.min_v b.min_v;
-  m.max_v <- Float.max a.max_v b.max_v;
-  m
-
 let quantile t q =
   if t.count = 0 then 0.0
   else begin
@@ -94,6 +83,8 @@ let quantile t q =
     end
   end
 
+(* Occupied buckets in ascending order as (upper bound, count); the
+   zero bucket reports upper bound 0. *)
 let buckets t =
   let acc = ref [] in
   for i = n_buckets - 1 downto 0 do
@@ -116,65 +107,6 @@ let snapshot_json t =
       ("p95", float_json (quantile t 0.95));
       ("p99", float_json (quantile t 0.99));
     ]
-
-let to_json t =
-  let sparse = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    if t.counts.(i) > 0 then
-      sparse :=
-        Json.List [ Json.Int (i + lo); Json.Int t.counts.(i) ] :: !sparse
-  done;
-  Json.Obj
-    [
-      ("count", Json.Int t.count);
-      ("sum", float_json t.sum);
-      ("min", float_json (min_value t));
-      ("max", float_json (max_value t));
-      ("zero", Json.Int t.zero);
-      ("buckets", Json.List !sparse);
-    ]
-
-let of_json j =
-  let ( let* ) = Stdlib.Result.bind in
-  let int_field k =
-    match Json.member k j with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "histogram: missing int field %S" k)
-  in
-  let float_field k =
-    match Json.member k j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "histogram: missing number field %S" k)
-  in
-  let* count = int_field "count" in
-  let* sum = float_field "sum" in
-  let* mn = float_field "min" in
-  let* mx = float_field "max" in
-  let* zero = int_field "zero" in
-  let t = create () in
-  t.count <- count;
-  t.sum <- sum;
-  t.zero <- zero;
-  if count > 0 then begin
-    t.min_v <- mn;
-    t.max_v <- mx
-  end;
-  match Json.member "buckets" j with
-  | Some (Json.List entries) ->
-    let rec fill = function
-      | [] -> Ok t
-      | Json.List [ Json.Int k; Json.Int n ] :: rest ->
-        if k < lo || k > hi || n < 0 then
-          Error (Printf.sprintf "histogram: bucket %d out of range" k)
-        else begin
-          t.counts.(k - lo) <- n;
-          fill rest
-        end
-      | _ -> Error "histogram: malformed bucket entry"
-    in
-    fill entries
-  | _ -> Error "histogram: missing \"buckets\" array"
 
 let prom_float v =
   if Float.is_integer v && Float.abs v < 1e15 then

@@ -1,5 +1,5 @@
-(** Log-bucketed latency histogram: mergeable, bounded memory,
-    deterministic quantiles.
+(** Log-bucketed latency histogram: bounded memory, deterministic
+    quantiles.
 
     The serving tier's rolling-metric primitive.  Observations land in
     geometric buckets with boundaries [gamma^k] where
@@ -7,10 +7,7 @@
     estimate is within one bucket — a factor of [gamma] ≈ 1.19 — of
     the exact sample).  The bucket index range is clamped, so memory
     is a fixed ~300-slot array per histogram regardless of how many
-    observations arrive, and two histograms with the same layout merge
-    by adding counts: merge is commutative and (up to float summation
-    of [sum]) associative, which is what lets per-slot and per-window
-    histograms roll up into fleet totals.
+    observations arrive.
 
     Non-positive observations land in a dedicated zero bucket whose
     representative value is [0].  [count], [sum], [min] and [max] are
@@ -35,10 +32,6 @@ val min_value : t -> float
 val max_value : t -> float
 (** Exact largest observation; [0.] when empty. *)
 
-val merge : t -> t -> t
-(** [merge a b] is a fresh histogram holding both sets of
-    observations; [a] and [b] are unchanged. *)
-
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0,1]: the upper bound of the bucket
     holding the rank-[ceil (q * count)] observation (rank at least 1),
@@ -50,19 +43,9 @@ val bucket_index : float -> int
 (** The clamped bucket index a positive value lands in (exposed for
     the property tests); non-positive values map to [min_int]. *)
 
-val buckets : t -> (float * int) list
-(** Occupied buckets in ascending order as [(upper_bound, count)];
-    the zero bucket reports upper bound [0.]. *)
-
 val snapshot_json : t -> Json.t
 (** Compact deterministic snapshot:
     [{count; sum; min; max; p50; p95; p99}]. *)
-
-val to_json : t -> Json.t
-(** Full state including the sparse bucket list, suitable for
-    cross-process shipping; inverse of {!of_json}. *)
-
-val of_json : Json.t -> (t, string) result
 
 val prometheus :
   ?help:string ->

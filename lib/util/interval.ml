@@ -14,7 +14,6 @@ let overlaps a b =
   (not (is_empty a)) && (not (is_empty b)) && a.lo < b.hi && b.lo < a.hi
 let contains iv t = iv.lo <= t && t < iv.hi
 let shift iv dt = make (iv.lo +. dt) (iv.hi +. dt)
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 
 let compare a b =
   let c = Float.compare a.lo b.lo in

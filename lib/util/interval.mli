@@ -28,9 +28,6 @@ val contains : t -> float -> bool
 val shift : t -> float -> t
 (** [shift iv dt] translates both bounds by [dt]. *)
 
-val hull : t -> t -> t
-(** [hull a b] is the smallest interval containing both. *)
-
 val compare : t -> t -> int
 (** Lexicographic order on [(lo, hi)]. *)
 

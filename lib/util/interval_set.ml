@@ -8,8 +8,6 @@ let empty = []
 
 let is_empty s = s = []
 
-let cardinal = List.length
-
 let add iv s =
   if Interval.is_empty iv then s
   else begin
@@ -43,13 +41,6 @@ let free_from t ~duration s =
       else loop (Interval.hi x) rest
   in
   loop t s
-
-let total_duration s =
-  List.fold_left (fun acc iv -> acc +. Interval.duration iv) 0. s
-
-let elements s = s
-
-let of_list ivs = List.fold_left (fun s iv -> add iv s) empty ivs
 
 let pp ppf s =
   Format.fprintf ppf "@[<h>{%a}@]"

@@ -10,8 +10,6 @@ val empty : t
 
 val is_empty : t -> bool
 
-val cardinal : t -> int
-
 val add : Interval.t -> t -> t
 (** [add iv s] inserts [iv]; empty intervals are ignored.  Overlapping
     intervals are allowed to coexist (occupation by the same task chain). *)
@@ -26,13 +24,5 @@ val first_conflict : Interval.t -> t -> Interval.t option
 val free_from : float -> duration:float -> t -> float
 (** [free_from t ~duration s] is the earliest [t' >= t] such that
     [\[t', t' + duration)] overlaps nothing in [s]. *)
-
-val total_duration : t -> float
-(** Sum of durations of all stored intervals (overlaps counted twice). *)
-
-val elements : t -> Interval.t list
-(** Stored intervals, sorted by start time. *)
-
-val of_list : Interval.t list -> t
 
 val pp : Format.formatter -> t -> unit

@@ -7,8 +7,6 @@ let gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy rng = { state = rng.state }
-
 let next_int64 rng =
   rng.state <- Int64.add rng.state gamma;
   let z = rng.state in
@@ -35,14 +33,6 @@ let bool rng = Int64.logand (next_int64 rng) 1L = 1L
 let choose rng arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int rng (Array.length arr))
-
-let shuffle rng arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 let split rng = { state = next_int64 rng }
 

@@ -9,9 +9,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. *)
 
-val copy : t -> t
-(** Independent clone with identical future output. *)
-
 val int : t -> int -> int
 (** [int rng bound] is uniform in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
@@ -26,9 +23,6 @@ val bool : t -> bool
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val split : t -> t
 (** [split rng] derives an independent generator, advancing [rng]. *)

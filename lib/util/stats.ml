@@ -22,14 +22,6 @@ let maximum = function
   | [] -> invalid_arg "Stats.maximum: empty list"
   | x :: xs -> List.fold_left Float.max x xs
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
-    sqrt var
-
 let percent_improvement ~ours ~baseline =
   if baseline = 0. then 0. else (baseline -. ours) /. baseline *. 100.
 

@@ -14,9 +14,6 @@ val minimum : float list -> float
 val maximum : float list -> float
 (** @raise Invalid_argument on the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; [0.] for fewer than two samples. *)
-
 val percent_improvement : ours:float -> baseline:float -> float
 (** [(baseline - ours) / baseline * 100]; [0.] when [baseline = 0]. *)
 

@@ -10,7 +10,7 @@
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
-type phase = Complete of float | Instant | Sample of float
+type phase = Complete of float | Sample of float
 
 type event = {
   track : int list;
@@ -134,13 +134,6 @@ let span ?(cat = "span") ?(args = []) name f =
           | None -> ())
         f
 
-let instant ?(cat = "event") ?(args = []) name =
-  if active () then
-    match current () with
-    | None -> ()
-    | Some c ->
-      emit c ~cat ~name ~ts_us:(now_us c) ~ph:Instant ~depth:c.depth ~args
-
 let incr ?(cat = "counter") ?(by = 1) name =
   if active () then
     match current () with
@@ -254,8 +247,7 @@ let forest_of_events evs =
     (fun e ->
       match e.ph with
       | Sample _ -> ()
-      | Complete _ | Instant ->
-        let dur = match e.ph with Complete d -> d | _ -> 0.0 in
+      | Complete dur ->
         let mine, rest =
           List.partition (fun (d, _) -> d > e.depth) !pending
         in
@@ -549,11 +541,6 @@ let event_to_json ~tid e =
     Json.Obj
       (common
       @ [ ("ph", Json.String "X"); ("dur", Json.Float dur);
-          ("args", args_to_json e.args) ])
-  | Instant ->
-    Json.Obj
-      (common
-      @ [ ("ph", Json.String "i"); ("s", Json.String "t");
           ("args", args_to_json e.args) ])
   | Sample v ->
     Json.Obj

@@ -13,11 +13,10 @@
 (** {1 Events and aggregates} *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
-(** Argument payload attached to spans and instants. *)
+(** Argument payload attached to spans. *)
 
 type phase =
   | Complete of float  (** closed span; payload is the duration in µs *)
-  | Instant            (** point event *)
   | Sample of float    (** one point of a counter time-series *)
 
 type event = {
@@ -79,8 +78,6 @@ val span : ?cat:string -> ?args:(string * value) list -> string ->
 (** [span name f] runs [f] inside a named span; the span closes (and is
     emitted) even if [f] raises.  Spans nest: [depth] records the stack
     depth at open. *)
-
-val instant : ?cat:string -> ?args:(string * value) list -> string -> unit
 
 val incr : ?cat:string -> ?by:int -> string -> unit
 (** Bump an aggregate counter.  Totals merge by summation, so they are
@@ -147,16 +144,16 @@ val subtrack : string -> subtrack option
 
 val on_subtrack : subtrack option -> (unit -> 'a) -> 'a
 (** [on_subtrack st f] runs [f] with the subtrack as the current
-    collector, so {!span}/{!instant}/{!emit_node} land on
+    collector, so {!span}/{!emit_node} land on
     the request's track; identity when [st] is [None]. *)
 
 (** {1 Span trees}
 
-    A [node] is one span (or instant, with [n_dur_us = 0]) plus its
-    children — the shippable form of a trace.  Workers export their
-    per-request sink as a node forest, the reply carries it as JSON,
-    and the supervisor re-emits it under the request's subtrack, so
-    the serving sink ends up holding one merged distributed trace. *)
+    A [node] is one span plus its children — the shippable form of a
+    trace.  Workers export their per-request sink as a node forest, the
+    reply carries it as JSON, and the supervisor re-emits it under the
+    request's subtrack, so the serving sink ends up holding one merged
+    distributed trace. *)
 
 type node = {
   n_name : string;

@@ -98,7 +98,7 @@ let test_kind_index_roundtrip () =
     (fun kind ->
       Alcotest.(check bool) "roundtrip" true
         (Operation.kind_of_index (Operation.kind_index kind) = kind))
-    Operation.all_kinds;
+    [| Operation.Mix; Heat; Filter; Detect |];
   Alcotest.check_raises "bad index"
     (Invalid_argument "Operation.kind_of_index: 4") (fun () ->
       ignore (Operation.kind_of_index 4))
@@ -291,14 +291,11 @@ let test_serial_dilution () =
     Mfb_schedule.Engine.run ~case1:true ~tc:2.0 g
       (Mfb_component.Allocation.of_vector (2, 0, 0, 1))
   in
-  Alcotest.(check bool) "legal" true (Mfb_schedule.Check.is_legal ~tc:2.0 sched);
+  Alcotest.(check bool) "legal" true
+    (Mfb_schedule.Check.validate ~tc:2.0 sched = []);
   Alcotest.check_raises "levels validated"
     (Invalid_argument "Benchmarks.serial_dilution: levels < 1") (fun () ->
       ignore (Benchmarks.serial_dilution ~levels:0 ()))
-
-let test_benchmarks_all () =
-  Alcotest.(check int) "three real-life benchmarks" 3
-    (List.length (Benchmarks.all ()))
 
 (* --- Synthetic --- *)
 
@@ -447,7 +444,8 @@ let test_assay_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let g = Benchmarks.pcr () in
-      Assay_file.to_file path g;
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc (Assay_file.to_string g));
       match Assay_file.of_file path with
       | Error e -> Alcotest.failf "of_file: %a" Assay_file.pp_error e
       | Ok g' -> Alcotest.(check int) "ops survive" 7 (Seq_graph.n_ops g'));
@@ -476,6 +474,16 @@ let prop_assay_roundtrip =
 
 module Volume = Mfb_bioassay.Volume
 
+(* Chamber units [op] produces: one for a sink, else what its out-edges
+   carry. *)
+let production g v op =
+  match Seq_graph.children g op with
+  | [] -> 1.0
+  | children ->
+    List.fold_left
+      (fun acc child -> acc +. Volume.edge_volume v (op, child))
+      0. children
+
 let test_volume_chain () =
   (* Single chain: every edge carries exactly one chamber. *)
   let g =
@@ -498,7 +506,7 @@ let test_volume_mixer_split () =
   let v = Volume.analyse g in
   Alcotest.(check (float 1e-9)) "half" 0.5 (Volume.edge_volume v (0, 2));
   Alcotest.(check (float 1e-9)) "sources produce half each" 0.5
-    (Volume.production v 0);
+    (production g v 0);
   Alcotest.(check (float 1e-9)) "reagent is one chamber" 1.0
     (Volume.total_reagent v)
 
@@ -509,17 +517,23 @@ let test_volume_fanout_batches () =
       ~edges:[ (0, 1); (0, 2); (0, 3) ]
   in
   let v = Volume.analyse g in
-  Alcotest.(check (float 1e-9)) "production 3" 3.0 (Volume.production v 0);
-  Alcotest.(check int) "three batches" 3 (Volume.batches v 0);
-  Alcotest.(check int) "sink single batch" 1 (Volume.batches v 1)
+  Alcotest.(check (float 1e-9)) "production 3" 3.0 (production g v 0);
+  Alcotest.(check (float 1e-9)) "three chambers of reagent" 3.0
+    (Volume.external_input v 0);
+  Alcotest.(check (float 1e-9)) "one chamber per sink" 1.0
+    (Volume.edge_volume v (0, 1))
 
 let test_volume_pcr_tree () =
   (* PCR's balanced binary tree: leaves contribute 1/4 chamber each... the
      root delivers 1, its two children 1/2, the four leaves 1/4 via their
      half-split — total reagent equals the delivered volume. *)
-  let v = Volume.analyse (Benchmarks.pcr ()) in
-  Alcotest.(check (float 1e-9)) "root delivers one" 1.0 (Volume.production v 6);
-  Alcotest.(check (float 1e-9)) "leaf quarter" 0.25 (Volume.production v 0);
+  let g = Benchmarks.pcr () in
+  let v = Volume.analyse g in
+  Alcotest.(check (float 1e-9)) "root receives one" 1.0
+    (List.fold_left
+       (fun acc p -> acc +. Volume.edge_volume v (p, 6))
+       0. (Seq_graph.parents g 6));
+  Alcotest.(check (float 1e-9)) "leaf quarter" 0.25 (production g v 0);
   Alcotest.(check (float 1e-9)) "conservation" 1.0 (Volume.total_reagent v)
 
 let prop_volume_conservation =
@@ -536,7 +550,7 @@ let prop_volume_positive =
     (fun g ->
       let v = Volume.analyse g in
       List.for_all
-        (fun op -> Volume.production v op > 0.)
+        (fun op -> production g v op > 0.)
         (List.init (Seq_graph.n_ops g) Fun.id))
 
 let suites =
@@ -583,7 +597,6 @@ let suites =
         Alcotest.test_case "cpa structure" `Quick test_cpa_structure;
         Alcotest.test_case "ivd structure" `Quick test_ivd_structure;
         Alcotest.test_case "serial dilution" `Quick test_serial_dilution;
-        Alcotest.test_case "all" `Quick test_benchmarks_all;
       ] );
     ( "bioassay.synthetic",
       [

@@ -72,15 +72,6 @@ let test_fault_lookup () =
     "first wins" true
     (Fault.lookup shadowed ~worker:0 ~job:0 = Some Fault.Garbage)
 
-let test_fault_generate_deterministic () =
-  let g () = Fault.generate ~seed:42 ~workers:3 ~max_job:5 ~rate:0.4 () in
-  Alcotest.(check bool) "same seed same plan" true (g () = g ());
-  let full = Fault.generate ~seed:1 ~workers:2 ~max_job:3 ~rate:1.0 () in
-  Alcotest.(check int) "rate 1 covers every pair" 8 (List.length full);
-  Alcotest.(check bool)
-    "rate 0 is empty" true
-    (Fault.is_empty (Fault.generate ~seed:1 ~workers:2 ~max_job:3 ~rate:0.0 ()))
-
 (* --- the worker servant, run in-process --- *)
 
 let run_worker ?fault lines =
@@ -581,6 +572,21 @@ let batch_gen =
   QCheck2.Gen.(
     list_size (1 -- 4) (pair (oneofl [ "PCR"; "IVD" ]) (0 -- 5)))
 
+(* Slot 0's first three jobs, each faulty with probability 1/2, the kind
+   uniform over the five. *)
+let plan_gen =
+  QCheck2.Gen.(
+    map
+      (fun kinds ->
+        List.filter_map Fun.id
+          (List.mapi
+             (fun job ->
+               Option.map (fun kind -> { Fault.worker = 0; job; kind }))
+             kinds))
+      (list_repeat 3
+         (option ~ratio:0.5
+            (oneofl Fault.[ Crash; Stall; Garbage; Truncate; Slow 0.05 ]))))
+
 let qtest_cluster =
   (* For any job batch and any seeded fault schedule on half the fleet
      (slot 0 of 2; slot 0 always crashes on its first job so every run
@@ -588,13 +594,10 @@ let qtest_cluster =
      in-process synthesis with a trace sink installed, and the faults
      are visible in the fleet's counters. *)
   Test_util.qtest ~count:4 "fleet byte-identity under seeded faults"
-    QCheck2.Gen.(pair batch_gen (0 -- 1000))
-    (fun (batch, fault_seed) ->
+    QCheck2.Gen.(pair batch_gen plan_gen)
+    (fun (batch, drawn) ->
       let jobs = List.map (fun (b, s) -> resolve ~seed:s b) batch in
-      let plan =
-        { Fault.worker = 0; job = 0; kind = Fault.Crash }
-        :: Fault.generate ~seed:fault_seed ~workers:1 ~max_job:2 ~rate:0.5 ()
-      in
+      let plan = { Fault.worker = 0; job = 0; kind = Fault.Crash } :: drawn in
       Test_util.with_fake_sink (fun _sink ->
           with_cluster ~plan ~timeout:5.0 (fun cluster ->
               let results = Cluster.dispatch cluster jobs in
@@ -620,8 +623,6 @@ let suites =
         Alcotest.test_case "plan file round-trip" `Quick
           test_fault_file_round_trip;
         Alcotest.test_case "lookup first-match" `Quick test_fault_lookup;
-        Alcotest.test_case "generate is seeded and pure" `Quick
-          test_fault_generate_deterministic;
       ] );
     ( "cluster.worker",
       [

@@ -60,19 +60,6 @@ let test_ports_are_valves () =
           (Valve_map.index valves last <> None))
     routing.tasks
 
-let test_valves_on_path () =
-  let routing = routing_of 2 in
-  let valves = Valve_map.of_routing routing in
-  List.iter
-    (fun (task : Mfb_route.Routed.task) ->
-      let on_path = Valve_map.valves_on_path valves task.path in
-      Alcotest.(check bool) "at least the two port valves" true
-        (List.length on_path >= 1);
-      Alcotest.(check int) "deduplicated"
-        (List.length on_path)
-        (List.length (List.sort_uniq compare on_path)))
-    routing.tasks
-
 (* --- Actuation --- *)
 
 let test_actuation_ordered_and_switching () =
@@ -260,7 +247,6 @@ let suites =
         Alcotest.test_case "sites unique and indexed" `Quick
           test_valve_sites_unique_and_indexed;
         Alcotest.test_case "ports are valves" `Quick test_ports_are_valves;
-        Alcotest.test_case "valves on path" `Quick test_valves_on_path;
       ] );
     ( "control.actuation",
       [

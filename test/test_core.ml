@@ -104,7 +104,7 @@ let flow_sanity_tests =
         Alcotest.test_case (name ^ " flow sane") `Quick (fun () ->
             let r = Flow.run ~config:fast_cfg inst.graph inst.allocation in
             Alcotest.(check bool) "schedule legal" true
-              (Check.is_legal ~tc:fast_cfg.tc r.schedule);
+              (Check.validate ~tc:fast_cfg.tc r.schedule = []);
             Alcotest.(check bool) "utilization range" true
               (0. <= r.utilization && r.utilization <= 1.);
             Alcotest.(check bool) "positive exec" true (r.execution_time > 0.);
@@ -128,7 +128,7 @@ let baseline_sanity_tests =
               Flow.run ~config:fast_cfg ~variant:`Ba inst.graph inst.allocation
             in
             Alcotest.(check bool) "schedule legal" true
-              (Check.is_legal ~tc:fast_cfg.tc r.schedule);
+              (Check.validate ~tc:fast_cfg.tc r.schedule = []);
             Alcotest.(check bool) "utilization range" true
               (0. <= r.utilization && r.utilization <= 1.);
             Alcotest.(check bool) "chip legal" true
@@ -222,7 +222,7 @@ let test_ablations_run () =
       Alcotest.(check bool)
         (r.flow ^ " legal")
         true
-        (Check.is_legal ~tc:fast_cfg.tc r.schedule))
+        (Check.validate ~tc:fast_cfg.tc r.schedule = []))
     Flow.variants
 
 (* Warm start and repair reuse the flow's schedule and retime stages;
@@ -381,7 +381,7 @@ let test_flow_exact_truncation_surfaces () =
     Alcotest.(check bool) "never worse than heuristic" true
       (d.makespan <= d.heuristic_makespan +. 1e-9));
   Alcotest.(check bool) "legal schedule" true
-    (Check.is_legal ~tc:config.tc r.schedule);
+    (Check.validate ~tc:config.tc r.schedule = []);
   let json = Mfb_util.Json.to_string (Result_.to_json r) in
   Alcotest.(check bool) "truncated flag in json" true
     (Testkit.contains json "\"truncated\":true");
@@ -430,21 +430,6 @@ let test_timing_table_render () =
       Alcotest.(check bool) (needle ^ " present") true
         (Testkit.contains s needle))
     [ "schedule"; "place"; "route"; "total"; ours.benchmark ]
-
-let test_heuristic_gap_render () =
-  let pcr = Suite.pcr () in
-  let exact_cfg = { fast_cfg with backend = Mfb_schedule.Portfolio.Exact } in
-  let r = Flow.run ~config:exact_cfg pcr.graph pcr.allocation in
-  let s = Report.heuristic_gap [ r ] in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (needle ^ " present") true
-        (Testkit.contains s needle))
-    [ "PCR"; "Heuristic (s)"; "Exact (s)"; "optimal"; "Average (optimal only)" ];
-  (* Heuristic-only results carry no decision and are skipped. *)
-  let heuristic = Flow.run ~config:fast_cfg pcr.graph pcr.allocation in
-  Alcotest.(check bool) "heuristic rows skipped" false
-    (Testkit.contains (Report.heuristic_gap [ heuristic ]) "PCR")
 
 let test_metrics_table () =
   Alcotest.(check bool) "empty input renders header" true
@@ -579,8 +564,8 @@ let prop_whole_flow_invariants =
         Mfb_sim.Replay.create ~tc:fast_cfg.tc ~chip:r.chip
           ~schedule:r.schedule ~routing:r.routing
       in
-      Check.is_legal ~tc:fast_cfg.tc r.schedule
-      && Mfb_route.Drc.is_clean r.chip r.routing
+      Check.validate ~tc:fast_cfg.tc r.schedule = []
+      && Mfb_route.Drc.check r.chip r.routing = []
       && Mfb_sim.Replay.check sim = []
       && 0. <= r.utilization
       && r.utilization <= 1.)
@@ -590,8 +575,8 @@ let prop_whole_flow_baseline_invariants =
     random_instance_gen
     (fun (graph, allocation) ->
       let r = Flow.run ~config:fast_cfg ~variant:`Ba graph allocation in
-      Check.is_legal ~tc:fast_cfg.tc r.schedule
-      && Mfb_route.Drc.is_clean r.chip r.routing)
+      Check.validate ~tc:fast_cfg.tc r.schedule = []
+      && Mfb_route.Drc.check r.chip r.routing = [])
 
 (* --- Allocation exploration --- *)
 
@@ -673,9 +658,9 @@ let test_large_assay_stress () =
   let ours = Flow.run ~config:fast_cfg graph allocation in
   let ba = Flow.run ~config:fast_cfg ~variant:`Ba graph allocation in
   Alcotest.(check bool) "legal at 100 ops" true
-    (Check.is_legal ~tc:fast_cfg.tc ours.schedule);
+    (Check.validate ~tc:fast_cfg.tc ours.schedule = []);
   Alcotest.(check bool) "drc clean at 100 ops" true
-    (Mfb_route.Drc.is_clean ours.chip ours.routing);
+    (Mfb_route.Drc.check ours.chip ours.routing = []);
   Alcotest.(check bool) "still beats the baseline" true
     (ours.execution_time <= ba.execution_time +. 1e-6);
   let sim =
@@ -744,8 +729,6 @@ let suites =
           test_timing_table_empty;
         Alcotest.test_case "timing table render" `Quick
           test_timing_table_render;
-        Alcotest.test_case "heuristic gap table" `Quick
-          test_heuristic_gap_render;
         Alcotest.test_case "metrics table" `Quick test_metrics_table;
         Alcotest.test_case "result json" `Quick test_result_json;
         Alcotest.test_case "layout render" `Quick test_layout_render;

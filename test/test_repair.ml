@@ -86,7 +86,8 @@ let test_generators_deterministic () =
       Alcotest.(check bool) "clustered non-empty" true (c <> []);
       let p = Defect.progressive ~seed ~count:5 r.chip in
       Alcotest.(check int) "progressive count" 5 (List.length p);
-      Alcotest.(check int) "progressive ticks" 4 (Defect.max_tick p);
+      Alcotest.(check int) "progressive ticks" 4
+        (List.fold_left (fun acc (e : Defect.event) -> max acc e.tick) 0 p);
       Alcotest.(check int) "progressive distinct" 5
         (List.length (List.sort_uniq compare (Defect.targets p)));
       match (Defect.check r.chip c, Defect.check r.chip p) with
@@ -195,18 +196,19 @@ let test_footprint_cell_lifts_to_component () =
   | _ -> Alcotest.fail "footprint cell not lifted to a component fault"
 
 (* Every seeded defect class on every Table I design under the paper's
-   parameters: each component dead, each used channel cell dead, and 20
-   radius-2 debris clusters.  A surviving repair must pass the full
-   audit.  Synthetic2's cluster seed 8 needs a settle fallback below the
-   task's own delay, which must be re-checked at that delay. *)
+   parameters: each component dead, each used channel cell dead, 20
+   radius-2 debris clusters, and the six tick prefixes of one seeded
+   progressive plan.  A surviving repair must pass the full audit, and
+   survived/total is pinned per design and class.  Synthetic2's cluster
+   seed 8 needs a settle fallback below the task's own delay, which must
+   be re-checked at that delay. *)
 let test_table1_sweep_legal () =
   let config = Config.default in
   let repairs = ref 0 and illegal = ref [] in
-  List.iter
-    (fun (inst : Suite.instance) ->
-      let r = Flow.run ~config inst.graph inst.allocation in
-      List.iter
-        (fun defects ->
+  let survival (r : Mfb_core.Result.t) plans =
+    let survived =
+      List.fold_left
+        (fun n defects ->
           incr repairs;
           let o = Plan.repair ~config r ~defects in
           if o.report.survived && Plan.verify ~config ~defects o <> [] then
@@ -214,16 +216,44 @@ let test_table1_sweep_legal () =
               Printf.sprintf "%s: %s" r.benchmark
                 (String.concat " "
                    (List.map Defect.target_to_string defects))
-              :: !illegal)
-        (List.init (Array.length r.chip.components) (fun c ->
-             [ Defect.Component c ])
-        @ List.map
-            (fun xy -> [ Defect.Cell xy ])
-            (Mfb_route.Rgrid.used_cells r.routing.grid)
-        @ List.init 20 (fun seed ->
-              Defect.targets (Defect.clustered ~seed ~radius:2 r.chip))))
-    (Suite.all ());
-  Alcotest.(check int) "repairs" 666 !repairs;
+              :: !illegal;
+          if o.report.survived then n + 1 else n)
+        0 plans
+    in
+    Printf.sprintf "%d/%d" survived (List.length plans)
+  in
+  let rows =
+    List.map
+      (fun (inst : Suite.instance) ->
+        let r = Flow.run ~config inst.graph inst.allocation in
+        let progressive = Defect.progressive ~seed:7 ~count:6 r.chip in
+        String.concat " "
+          [ r.benchmark;
+            survival r
+              (List.init (Array.length r.chip.components) (fun c ->
+                   [ Defect.Component c ]));
+            survival r
+              (List.map
+                 (fun xy -> [ Defect.Cell xy ])
+                 (Mfb_route.Rgrid.used_cells r.routing.grid));
+            survival r
+              (List.init 20 (fun seed ->
+                   Defect.targets (Defect.clustered ~seed ~radius:2 r.chip)));
+            survival r
+              (List.init 6 (fun tick -> Defect.upto progressive ~tick)) ])
+      (Suite.all ())
+  in
+  Alcotest.(check (list string))
+    "survived/total: component, used cell, cluster r=2, progressive"
+    [ "PCR 0/3 7/7 20/20 6/6";
+      "IVD 0/5 6/6 20/20 6/6";
+      "CPA 0/10 52/52 20/20 6/6";
+      "Synthetic1 3/9 31/31 20/20 6/6";
+      "Synthetic2 0/11 75/76 18/20 6/6";
+      "Synthetic3 4/16 81/103 19/20 6/6";
+      "Synthetic4 5/18 164/179 20/20 5/6" ]
+    rows;
+  Alcotest.(check int) "repairs" 708 !repairs;
   Alcotest.(check (list string)) "illegal survivors" [] (List.rev !illegal)
 
 (* --- Determinism and telemetry --------------------------------------- *)

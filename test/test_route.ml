@@ -515,7 +515,7 @@ let test_router_routes_all () =
           result.tasks
       in
       Alcotest.(check int) "all transports routed"
-        (Mfb_schedule.Metrics.transport_count sched)
+        (List.length sched.Mfb_schedule.Types.transports)
         (List.length transports);
       Alcotest.(check int) "no unresolved" 0 result.unresolved;
       Alcotest.(check bool) "replay conflict-free" true
@@ -625,7 +625,7 @@ let test_io_routing_adds_tasks_and_stays_clean () =
         + List.length (Mfb_bioassay.Seq_graph.sinks g))
         (List.length io_tasks);
       Alcotest.(check bool) "drc clean with io" true
-        (Mfb_route.Drc.is_clean chip result);
+        (Mfb_route.Drc.check chip result = []);
       (* Replay cleanliness is guaranteed whenever no best-effort commit
          was needed. *)
       if result.unresolved = 0 then
@@ -877,14 +877,14 @@ let test_negotiated_routes_all () =
       let sched, chip, result = negotiated_instance index in
       Alcotest.(check int)
         (Printf.sprintf "instance %d: all transports" index)
-        (Mfb_schedule.Metrics.transport_count sched)
+        (List.length sched.Mfb_schedule.Types.transports)
         (List.length
            (List.filter (fun (t : Routed.task) -> t.kind = Routed.Transport)
               result.tasks));
       Alcotest.(check bool) "replay conflict-free" true
         (replay_conflict_free chip result);
       Alcotest.(check bool) "drc clean" true
-        (Mfb_route.Drc.is_clean chip result))
+        (Mfb_route.Drc.check chip result = []))
     [ 0; 2; 4 ]
 
 let test_negotiated_deterministic () =
@@ -917,7 +917,7 @@ let test_baseline_router_completes () =
     (fun index ->
       let sched, _, result = baseline_instance index in
       Alcotest.(check int) "all transports routed"
-        (Mfb_schedule.Metrics.transport_count sched)
+        (List.length sched.Mfb_schedule.Types.transports)
         (List.length
            (List.filter (fun (t : Routed.task) -> t.kind = Routed.Transport)
               result.tasks));
@@ -942,8 +942,8 @@ let test_drc_clean_on_suite () =
       let _, chip, result = routed_instance index in
       let violations = Mfb_route.Drc.check chip result in
       if violations <> [] then
-        Alcotest.failf "instance %d: %a" index Mfb_route.Drc.pp_violation
-          (List.hd violations))
+        let v = List.hd violations in
+        Alcotest.failf "instance %d: [%s] %s" index v.rule v.message)
     [ 0; 1; 2; 3; 4; 5; 6 ]
 
 let test_drc_clean_on_baseline () =
@@ -953,7 +953,7 @@ let test_drc_clean_on_baseline () =
       Alcotest.(check bool)
         (Printf.sprintf "baseline %d clean" index)
         true
-        (Mfb_route.Drc.is_clean chip result))
+        (Mfb_route.Drc.check chip result = []))
     [ 0; 2; 4 ]
 
 let test_drc_detects_overlapping_components () =

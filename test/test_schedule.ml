@@ -23,11 +23,19 @@ let qtest ?(count = 60) name gen prop =
   let rand = Random.State.make [| Hashtbl.hash name |] in
   QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ~name gen prop)
 
+(* Operations that consumed a parent's output in place (Case I). *)
+let in_place_count (sched : Types.t) =
+  Array.fold_left
+    (fun acc (t : Types.op_times) ->
+      if t.in_place_parent <> None then acc + 1 else acc)
+    0 sched.times
+
 let check_legal name sched =
   let violations = Check.validate ~tc sched in
   if violations <> [] then
-    Alcotest.failf "%s: %d violations, first: %a" name
-      (List.length violations) Check.pp_violation (List.hd violations)
+    let v = List.hd violations in
+    Alcotest.failf "%s: %d violations, first: [%s] %s" name
+      (List.length violations) v.code v.message
 
 (* Easy-to-wash vs hard-to-wash fluids for hand-built scenarios. *)
 let easy = Fluid.make ~name:"easy" ~diffusion:1e-5 (* wash 0.2 s *)
@@ -69,7 +77,7 @@ let test_dcsa_in_place_on_chains () =
     Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
   in
   Alcotest.(check bool) "case-I fires on the PCR tree" true
-    (Metrics.in_place_count sched > 0)
+    (in_place_count sched > 0)
 
 (* --- Case-I strategy (paper Fig. 5) --- *)
 
@@ -102,7 +110,7 @@ let test_case1_eliminates_transport () =
     Engine.run ~case1:true ~tc g (Allocation.of_vector (3, 0, 0, 0))
   in
   (* Only the o1 -> o2 edge needs a transport. *)
-  Alcotest.(check int) "one transport" 1 (Metrics.transport_count sched);
+  Alcotest.(check int) "one transport" 1 (List.length sched.Types.transports);
   match sched.transports with
   | [ tr ] -> Alcotest.(check (pair int int)) "edge" (1, 2) tr.edge
   | other ->
@@ -189,9 +197,10 @@ let test_fanout_copies () =
   check_legal "fanout" sched;
   (* All three consumers get the fluid; with copies > 1 nobody may consume
      in place. *)
-  Alcotest.(check int) "three transports" 3 (Metrics.transport_count sched);
+  Alcotest.(check int) "three transports" 3
+    (List.length sched.Types.transports);
   Alcotest.(check int) "no in-place with fan-out" 0
-    (Metrics.in_place_count sched);
+    (in_place_count sched);
   (* Only one wash of o0's residue: the copies leave together. *)
   Alcotest.(check int) "single wash of o0" 1
     (List.length
@@ -234,8 +243,8 @@ let test_deep_chain_in_place_throughout () =
     Engine.run ~case1:true ~tc g (Allocation.of_vector (1, 0, 0, 0))
   in
   check_legal "deep chain" sched;
-  Alcotest.(check int) "no transports" 0 (Metrics.transport_count sched);
-  Alcotest.(check int) "all in place" 11 (Metrics.in_place_count sched);
+  Alcotest.(check int) "no transports" 0 (List.length sched.Types.transports);
+  Alcotest.(check int) "all in place" 11 (in_place_count sched);
   Alcotest.(check (float 1e-9)) "makespan is pure compute" 60. sched.makespan
 
 let test_wide_independent_layer () =
@@ -331,7 +340,7 @@ let test_concurrency_counts () =
     (fun tr ->
       let n = Metrics.concurrency sched tr in
       Alcotest.(check bool) "bounded" true
-        (0 <= n && n < Metrics.transport_count sched))
+        (0 <= n && n < List.length sched.Types.transports))
     sched.transports
 
 (* --- Property tests over random synthetic assays --- *)
@@ -356,11 +365,12 @@ let synthetic_instance_gen =
 
 let prop_dcsa_legal =
   qtest "dcsa schedule is always legal" synthetic_instance_gen
-    (fun (g, alloc) -> Check.is_legal ~tc (Engine.run ~case1:true ~tc g alloc))
+    (fun (g, alloc) ->
+      Check.validate ~tc (Engine.run ~case1:true ~tc g alloc) = [])
 
 let prop_baseline_legal =
   qtest "baseline schedule is always legal" synthetic_instance_gen
-    (fun (g, alloc) -> Check.is_legal ~tc (Baseline.schedule ~tc g alloc))
+    (fun (g, alloc) -> Check.validate ~tc (Baseline.schedule ~tc g alloc) = [])
 
 let prop_makespan_lower_bound =
   qtest "makespan >= duration-only critical path" synthetic_instance_gen
@@ -447,7 +457,7 @@ let prop_retime_legal =
       map (fun delays -> (sched, delays)) (delays_gen sched))
     (fun (sched, delays) ->
       let delays = List.filter (fun ((a, _), _) -> a >= 0) delays in
-      Check.is_legal ~tc (Retime.with_transport_delays sched ~delays))
+      Check.validate ~tc (Retime.with_transport_delays sched ~delays) = [])
 
 (* --- Dedicated-storage architecture (paper Fig. 1(a) motivation) --- *)
 
@@ -531,7 +541,7 @@ let test_dedicated_validation () =
 
 let prop_dedicated_legal =
   qtest ~count:40 "dedicated schedules are legal" synthetic_instance_gen
-    (fun (g, alloc) -> Check.is_legal ~tc (dedicated g alloc))
+    (fun (g, alloc) -> Check.validate ~tc (dedicated g alloc) = [])
 
 (* A parent displaced into the unit by its own consumer comes back through
    the exit port: it cannot arrive before it has entered. *)
@@ -697,7 +707,7 @@ let prop_exact_bounds_heuristic =
     (fun (g, alloc) ->
       let exact = Exact.schedule ~fuel:50_000 ~tc g alloc in
       let heuristic = Engine.run ~case1:true ~tc g alloc in
-      Check.is_legal ~tc exact.schedule
+      Check.validate ~tc exact.schedule = []
       && exact.schedule.makespan <= heuristic.makespan +. 1e-9)
 
 (* Satellite oracle property: on seeded synthetic assays of up to 12

@@ -7,7 +7,6 @@ module Cache_key = Mfb_server.Cache_key
 module Job_queue = Mfb_server.Job_queue
 module P = Mfb_server.Protocol
 module Server = Mfb_server.Server
-module Client = Mfb_server.Client
 module Frame = Mfb_net.Frame
 module Listener = Mfb_net.Listener
 module Config = Mfb_core.Config
@@ -370,11 +369,6 @@ let server ?(jobs = 1) ?(cache = 128) ?(depth = 64) ?(batch = 8)
       slow_threshold;
     }
 
-let call_exn client req =
-  match Client.call client req with
-  | Ok resp -> resp
-  | Error e -> Alcotest.failf "call failed: %s" e
-
 let submit ?(priority = 0) ?deadline ?(seed = None) ~id spec =
   P.Submit
     {
@@ -391,29 +385,24 @@ let pcr = P.Benchmark "PCR"
 
 let test_server_cache_hit_identical () =
   let s = server () in
-  let c = Client.in_process s in
-  (match call_exn c (submit ~id:"a" pcr) with
+  (match Testkit.call_exn s (submit ~id:"a" pcr) with
    | P.Submitted _ -> ()
    | r -> Alcotest.failf "submit: %s" (P.response_to_line r));
   let r1 =
-    match call_exn c (P.Result "a") with
+    match Testkit.call_exn s (P.Result "a") with
     | P.Job_result { result; _ } -> Json.to_string result
     | r -> Alcotest.failf "result: %s" (P.response_to_line r)
   in
-  ignore (call_exn c (submit ~id:"b" pcr));
+  ignore (Testkit.call_exn s (submit ~id:"b" pcr));
   let r2 =
-    match call_exn c (P.Result "b") with
+    match Testkit.call_exn s (P.Result "b") with
     | P.Job_result { result; _ } -> Json.to_string result
     | r -> Alcotest.failf "result: %s" (P.response_to_line r)
   in
   Alcotest.(check string) "byte-identical payload" r1 r2;
-  match call_exn c P.Stats with
+  match Testkit.call_exn s P.Stats with
   | P.Stats_reply stats ->
-    let get path =
-      List.fold_left
-        (fun j k -> Option.bind j (Json.member k))
-        (Some stats) path
-    in
+    let get = Testkit.stat stats in
     Alcotest.(check bool) "one compute" true
       (get [ "computed" ] = Some (Json.Int 1));
     Alcotest.(check bool) "one hit" true
@@ -426,7 +415,6 @@ let test_server_backend_cache_not_shared () =
      heuristic's result.  Now it must miss, recompute, and answer with
      the (better) exact schedule. *)
   let s = server () in
-  let c = Client.in_process s in
   let submit_backend ~id o_backend =
     P.Submit
       {
@@ -440,7 +428,7 @@ let test_server_backend_cache_not_shared () =
       }
   in
   let key id req =
-    match call_exn c req with
+    match Testkit.call_exn s req with
     | P.Submitted { key; _ } -> key
     | r -> Alcotest.failf "submit %s: %s" id (P.response_to_line r)
   in
@@ -451,7 +439,7 @@ let test_server_backend_cache_not_shared () =
   Alcotest.(check bool) "distinct cache keys" false
     (String.equal k_heur k_exact);
   let result id =
-    match call_exn c (P.Result id) with
+    match Testkit.call_exn s (P.Result id) with
     | P.Job_result { result; _ } -> Json.to_string result
     | r -> Alcotest.failf "result %s: %s" id (P.response_to_line r)
   in
@@ -460,13 +448,9 @@ let test_server_backend_cache_not_shared () =
   Alcotest.(check bool) "exact payload is not the cached heuristic one"
     false
     (String.equal r_heur r_exact);
-  match call_exn c P.Stats with
+  match Testkit.call_exn s P.Stats with
   | P.Stats_reply stats ->
-    let get path =
-      List.fold_left
-        (fun j k -> Option.bind j (Json.member k))
-        (Some stats) path
-    in
+    let get = Testkit.stat stats in
     Alcotest.(check bool) "both requests computed" true
       (get [ "computed" ] = Some (Json.Int 2));
     Alcotest.(check bool) "no cross-backend cache hit" true
@@ -490,74 +474,71 @@ let test_server_handle_line_hygiene () =
 
 let test_server_rejections () =
   let s = server () in
-  let c = Client.in_process s in
-  (match call_exn c (submit ~id:"a" (P.Benchmark "NOPE")) with
+  (match Testkit.call_exn s (submit ~id:"a" (P.Benchmark "NOPE")) with
    | P.Rejected { reason; _ } ->
      Alcotest.(check bool) "reason names benchmark" true
        (contains ~sub:"NOPE" reason)
    | r -> Alcotest.failf "unknown benchmark: %s" (P.response_to_line r));
-  ignore (call_exn c (submit ~id:"dup" pcr));
-  (match call_exn c (submit ~id:"dup" pcr) with
+  ignore (Testkit.call_exn s (submit ~id:"dup" pcr));
+  (match Testkit.call_exn s (submit ~id:"dup" pcr) with
    | P.Rejected { reason = "duplicate id"; _ } -> ()
    | r -> Alcotest.failf "duplicate id: %s" (P.response_to_line r));
-  (match call_exn c (P.Result "ghost") with
+  (match Testkit.call_exn s (P.Result "ghost") with
    | P.Bad_request { id = Some "ghost"; _ } -> ()
    | r -> Alcotest.failf "unknown result: %s" (P.response_to_line r));
-  match call_exn c (P.Status "ghost") with
+  match Testkit.call_exn s (P.Status "ghost") with
   | P.Bad_request _ -> ()
   | r -> Alcotest.failf "unknown status: %s" (P.response_to_line r)
 
 let test_server_admission_and_shedding () =
   (* batch larger than anything we queue: dispatch only on demand *)
   let s = server ~depth:2 ~batch:50 () in
-  let c = Client.in_process s in
   let seed n = Some n in
-  ignore (call_exn c (submit ~id:"a" ~seed:(seed 1) pcr));
-  ignore (call_exn c (submit ~id:"b" ~seed:(seed 2) pcr));
-  (match call_exn c (submit ~id:"c" ~seed:(seed 3) pcr) with
+  ignore (Testkit.call_exn s (submit ~id:"a" ~seed:(seed 1) pcr));
+  ignore (Testkit.call_exn s (submit ~id:"b" ~seed:(seed 2) pcr));
+  (match Testkit.call_exn s (submit ~id:"c" ~seed:(seed 3) pcr) with
    | P.Rejected { op = "submit"; id = "c"; _ } -> ()
    | r -> Alcotest.failf "overflow submit: %s" (P.response_to_line r));
-  (match call_exn c (submit ~id:"d" ~priority:3 ~seed:(seed 4) pcr) with
+  (match Testkit.call_exn s (submit ~id:"d" ~priority:3 ~seed:(seed 4) pcr) with
    | P.Submitted { id = "d"; _ } -> ()
    | r -> Alcotest.failf "priority submit: %s" (P.response_to_line r));
   (* "b" (lowest priority, latest) was displaced to admit "d" *)
-  (match call_exn c (P.Status "b") with
+  (match Testkit.call_exn s (P.Status "b") with
    | P.Job_status { state = "shed"; _ } -> ()
    | r -> Alcotest.failf "displaced status: %s" (P.response_to_line r));
-  (match call_exn c (P.Result "b") with
+  (match Testkit.call_exn s (P.Result "b") with
    | P.Rejected { op = "result"; id = "b"; reason } ->
      Alcotest.(check bool) "reason mentions displacement" true
        (contains ~sub:"displaced" reason)
    | r -> Alcotest.failf "displaced result: %s" (P.response_to_line r));
-  (match call_exn c (P.Status "a") with
+  (match Testkit.call_exn s (P.Status "a") with
    | P.Job_status { state = "queued"; _ } -> ()
    | r -> Alcotest.failf "queued status: %s" (P.response_to_line r));
-  (match call_exn c (P.Result "a") with
+  (match Testkit.call_exn s (P.Result "a") with
    | P.Job_result _ -> ()
    | r -> Alcotest.failf "queued result: %s" (P.response_to_line r));
-  match call_exn c (P.Status "a") with
+  match Testkit.call_exn s (P.Status "a") with
   | P.Job_status { state = "done"; _ } -> ()
   | r -> Alcotest.failf "done status: %s" (P.response_to_line r)
 
 let test_server_deadline_shed () =
   let s = server ~batch:3 () in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit ~id:"a" ~seed:(Some 1) pcr));
-  ignore (call_exn c (submit ~id:"b" ~deadline:0 ~seed:(Some 2) pcr));
+  ignore (Testkit.call_exn s (submit ~id:"a" ~seed:(Some 1) pcr));
+  ignore (Testkit.call_exn s (submit ~id:"b" ~deadline:0 ~seed:(Some 2) pcr));
   (* third submission fills the batch and triggers dispatch at tick 1,
      past b's deadline of tick 0 *)
-  ignore (call_exn c (submit ~id:"c" ~seed:(Some 3) pcr));
-  (match call_exn c (P.Status "b") with
+  ignore (Testkit.call_exn s (submit ~id:"c" ~seed:(Some 3) pcr));
+  (match Testkit.call_exn s (P.Status "b") with
    | P.Job_status { state = "shed"; _ } -> ()
    | r -> Alcotest.failf "deadline status: %s" (P.response_to_line r));
-  (match call_exn c (P.Result "b") with
+  (match Testkit.call_exn s (P.Result "b") with
    | P.Rejected { reason; _ } ->
      Alcotest.(check bool) "reason mentions deadline" true
        (contains ~sub:"deadline" reason)
    | r -> Alcotest.failf "deadline result: %s" (P.response_to_line r));
   List.iter
     (fun id ->
-      match call_exn c (P.Result id) with
+      match Testkit.call_exn s (P.Result id) with
       | P.Job_result _ -> ()
       | r -> Alcotest.failf "%s result: %s" id (P.response_to_line r))
     [ "a"; "c" ]
@@ -656,15 +637,14 @@ let test_serve_answers_oversized_line () =
 
 let test_shutdown_drains_queue () =
   let s = server ~batch:8 () in
-  let c = Client.in_process s in
   (* three distinct jobs, below the batch threshold: all still queued *)
   List.iter
     (fun (id, seed) ->
-      match call_exn c (submit ~id ~seed:(Some seed) pcr) with
+      match Testkit.call_exn s (submit ~id ~seed:(Some seed) pcr) with
       | P.Submitted _ -> ()
       | r -> Alcotest.failf "submit: %s" (P.response_to_line r))
     [ ("a", 1); ("b", 2); ("c", 3) ];
-  (match call_exn c P.Shutdown with
+  (match Testkit.call_exn s P.Shutdown with
    | P.Goodbye stats ->
      let member path =
        match Json.member path stats with
@@ -682,7 +662,7 @@ let test_shutdown_drains_queue () =
   (* the drained results are actually there *)
   List.iter
     (fun id ->
-      match call_exn c (P.Result id) with
+      match Testkit.call_exn s (P.Result id) with
       | P.Job_result _ -> ()
       | r -> Alcotest.failf "%s after drain: %s" id (P.response_to_line r))
     [ "a"; "b"; "c" ]
@@ -798,10 +778,11 @@ let test_duplicate_id_keeps_original_record () =
      the whole epoch *)
   let s = Server.create { Server.default_config with clock = `Wall } in
   List.iter (fun line -> ignore (Server.handle_line s line)) dup;
-  let h = Server.latency_histogram s in
-  Alcotest.(check int) "one latency" 1 (Mfb_util.Histogram.count h);
+  let stats = Server.stats_json s in
+  Alcotest.(check int) "one latency" 1
+    (Testkit.stat_int stats [ "latency"; "count" ]);
   Alcotest.(check bool) "latency below a minute" true
-    (Mfb_util.Histogram.max_value h < 60_000.)
+    (Testkit.stat_float stats [ "latency"; "max" ] < 60_000.)
 
 let test_access_log_slow_spans () =
   (* threshold 0: every request is "slow", so every computed/hit record
@@ -821,12 +802,11 @@ let test_access_log_slow_spans () =
 
 let test_prometheus_exposition () =
   let s = server () in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit ~id:"a" pcr));
-  ignore (call_exn c (P.Result "a"));
-  ignore (call_exn c (submit ~id:"b" pcr));
-  ignore (call_exn c (P.Result "b"));
-  match call_exn c P.Stats_prom with
+  ignore (Testkit.call_exn s (submit ~id:"a" pcr));
+  ignore (Testkit.call_exn s (P.Result "a"));
+  ignore (Testkit.call_exn s (submit ~id:"b" pcr));
+  ignore (Testkit.call_exn s (P.Result "b"));
+  match Testkit.call_exn s P.Stats_prom with
   | P.Stats_text text ->
     List.iter
       (fun sub ->
@@ -943,22 +923,17 @@ let test_prometheus_one_header_per_metric () =
 
 let test_goodbye_totals () =
   let s = server () in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit ~id:"a" pcr));
-  ignore (call_exn c (P.Result "a"));
-  ignore (call_exn c (submit ~id:"b" pcr));
-  match call_exn c P.Shutdown with
+  ignore (Testkit.call_exn s (submit ~id:"a" pcr));
+  ignore (Testkit.call_exn s (P.Result "a"));
+  ignore (Testkit.call_exn s (submit ~id:"b" pcr));
+  match Testkit.call_exn s P.Shutdown with
   | P.Goodbye stats ->
     let totals =
       match Json.member "totals" stats with
       | Some t -> t
       | None -> Alcotest.fail "goodbye missing totals"
     in
-    let get path =
-      List.fold_left
-        (fun j k -> Option.bind j (Json.member k))
-        (Some totals) path
-    in
+    let get = Testkit.stat totals in
     Alcotest.(check bool) "cache hits total" true
       (get [ "cache"; "hits" ] = Some (Json.Int 1));
     Alcotest.(check bool) "queue submitted total" true
@@ -969,36 +944,29 @@ let test_goodbye_totals () =
 
 let test_latency_histogram_tracks_requests () =
   let s = server () in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit ~id:"a" pcr));
-  ignore (call_exn c (P.Result "a"));
-  ignore (call_exn c (submit ~id:"b" pcr));
-  ignore (call_exn c (P.Result "b"));
-  let h = Server.latency_histogram s in
-  Alcotest.(check int) "two latencies" 2 (Mfb_util.Histogram.count h);
+  ignore (Testkit.call_exn s (submit ~id:"a" pcr));
+  ignore (Testkit.call_exn s (P.Result "a"));
+  ignore (Testkit.call_exn s (submit ~id:"b" pcr));
+  ignore (Testkit.call_exn s (P.Result "b"));
+  let stats = Server.stats_json s in
+  let latency k = Testkit.stat_float stats [ "latency"; k ] in
+  Alcotest.(check int) "two latencies" 2
+    (Testkit.stat_int stats [ "latency"; "count" ]);
   (* virtual clock: the cache hit costs 0 ticks, the compute at least 1 *)
   Alcotest.(check (float 1e-9)) "min latency 0 ticks (hit)" 0.0
-    (Mfb_util.Histogram.min_value h);
+    (latency "min");
   Alcotest.(check bool) "max latency >= 1 tick (compute)" true
-    (Mfb_util.Histogram.max_value h >= 1.0)
-
-let stat_int stats path =
-  match
-    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats) path
-  with
-  | Some (Json.Int n) -> n
-  | _ -> Alcotest.failf "stats lack %s" (String.concat "." path)
+    (latency "max" >= 1.0)
 
 let test_batch_duplicate_counts_once () =
   (* Both submits queue behind one cache miss each; the batch runs the
      key once and answers the duplicate from that run, so the cache
      counts two misses and no hit: one count per admission. *)
   let s = server () in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit ~id:"a" pcr));
-  ignore (call_exn c (submit ~id:"b" pcr));
+  ignore (Testkit.call_exn s (submit ~id:"a" pcr));
+  ignore (Testkit.call_exn s (submit ~id:"b" pcr));
   let payload id =
-    match call_exn c (P.Result id) with
+    match Testkit.call_exn s (P.Result id) with
     | P.Job_result { result; _ } -> Json.to_string result
     | r -> Alcotest.failf "result %s: %s" id (P.response_to_line r)
   in
@@ -1007,7 +975,7 @@ let test_batch_duplicate_counts_once () =
     b;
   let stats = Server.stats_json s in
   Alcotest.(check (list int)) "submitted, computed, hits, misses" [ 2; 1; 0; 2 ]
-    (List.map (stat_int stats)
+    (List.map (Testkit.stat_int stats)
        [ [ "submitted" ]; [ "computed" ]; [ "cache"; "hits" ];
          [ "cache"; "misses" ] ])
 
@@ -1041,7 +1009,7 @@ let test_cache_hit_allocation () =
     results;
   let stats = Server.stats_json s in
   Alcotest.(check (list int)) "computed, hits" [ 1; n ]
-    (List.map (stat_int stats) [ [ "computed" ]; [ "cache"; "hits" ] ]);
+    (List.map (Testkit.stat_int stats) [ [ "computed" ]; [ "cache"; "hits" ] ]);
   if words > 8_000. then
     Alcotest.failf "a cache-hit pair allocates %.0f minor words (limit 8,000)"
       words
@@ -1063,13 +1031,12 @@ let load_script =
 
 let replay_load_script ~cache =
   let s = server ~cache () in
-  let c = Client.in_process s in
   let payloads =
     List.mapi
       (fun i seed ->
         let id = Printf.sprintf "q%d" i in
-        ignore (call_exn c (submit ~seed:(Some seed) ~id pcr));
-        match call_exn c (P.Result id) with
+        ignore (Testkit.call_exn s (submit ~seed:(Some seed) ~id pcr));
+        match Testkit.call_exn s (P.Result id) with
         | P.Job_result { result; _ } -> Json.to_string result
         | r -> Alcotest.failf "result %s: %s" id (P.response_to_line r))
       load_script
@@ -1082,22 +1049,22 @@ let test_load_script () =
   Alcotest.(check (list string)) "payloads identical at cache 128 and 0"
     uncached_payloads cached_payloads;
   let stats = Server.stats_json cached in
-  let hits = stat_int stats [ "cache"; "hits" ]
-  and misses = stat_int stats [ "cache"; "misses" ] in
+  let hits = Testkit.stat_int stats [ "cache"; "hits" ]
+  and misses = Testkit.stat_int stats [ "cache"; "misses" ] in
   Alcotest.(check bool)
     (Printf.sprintf "hit rate %d/%d >= 0.8" hits (hits + misses))
     true
     (float_of_int hits >= 0.8 *. float_of_int (hits + misses));
   List.iter
     (fun s ->
-      let h = Server.latency_histogram s in
-      let q = Mfb_util.Histogram.quantile h in
+      let stats = Server.stats_json s in
+      let q p = Testkit.stat_float stats [ "latency"; p ] in
       Alcotest.(check int) "every request observed" 240
-        (Mfb_util.Histogram.count h);
+        (Testkit.stat_int stats [ "latency"; "count" ]);
       Alcotest.(check bool) "p50 <= p95 <= p99" true
-        (q 0.5 <= q 0.95 && q 0.95 <= q 0.99))
+        (q "p50" <= q "p95" && q "p95" <= q "p99"))
     [ cached; uncached ];
-  let computed s = stat_int (Server.stats_json s) [ "computed" ] in
+  let computed s = Testkit.stat_int (Server.stats_json s) [ "computed" ] in
   Alcotest.(check bool)
     (Printf.sprintf "uncached computed %d >= 5 x cached %d" (computed uncached)
        (computed cached))
@@ -1209,12 +1176,11 @@ let repair_reply = function
 let test_server_repair_warm_cold_identical () =
   let run ~repair_cache =
     let s = server ~repair_cache () in
-    let c = Client.in_process s in
-    ignore (call_exn c (submit ~id:"a" pcr));
-    ignore (call_exn c (P.Result "a"));
+    ignore (Testkit.call_exn s (submit ~id:"a" pcr));
+    ignore (Testkit.call_exn s (P.Result "a"));
     let report, warm =
       repair_reply
-        (call_exn c
+        (Testkit.call_exn s
            (P.Repair
               { id = "p1"; target = "a"; defects = [ Defect.Cell (0, 0) ] }))
     in
@@ -1227,10 +1193,11 @@ let test_server_repair_warm_cold_identical () =
   Alcotest.(check string) "report bytes independent of cache temperature"
     r_warm r_cold;
   (* the virtual clock prices the temperature: warm repairs cost 1 tick *)
-  let h = Server.repair_latency_histogram s in
-  Alcotest.(check int) "one repair latency" 1 (Mfb_util.Histogram.count h);
+  let stats = Server.stats_json s in
+  Alcotest.(check int) "one repair latency" 1
+    (Testkit.stat_int stats [ "repair"; "latency"; "count" ]);
   Alcotest.(check (float 1e-9)) "warm latency is 1 tick" 1.0
-    (Mfb_util.Histogram.max_value h);
+    (Testkit.stat_float stats [ "repair"; "latency"; "max" ]);
   (* stats gained the repair section *)
   match Server.stats_json s with
   | Json.Obj fields ->
@@ -1249,12 +1216,11 @@ let test_server_repair_jobs_invariant () =
   (* same script, different worker counts: repair report byte-identical *)
   let run jobs =
     let s = server ~jobs ~batch:2 () in
-    let c = Client.in_process s in
-    ignore (call_exn c (submit ~id:"a" ~seed:(Some 1) pcr));
-    ignore (call_exn c (submit ~id:"b" ~seed:(Some 2) pcr));
-    ignore (call_exn c (P.Result "a"));
+    ignore (Testkit.call_exn s (submit ~id:"a" ~seed:(Some 1) pcr));
+    ignore (Testkit.call_exn s (submit ~id:"b" ~seed:(Some 2) pcr));
+    ignore (Testkit.call_exn s (P.Result "a"));
     repair_reply
-      (call_exn c
+      (Testkit.call_exn s
          (P.Repair
             { id = "p1"; target = "a"; defects = [ Defect.Cell (1, 1) ] }))
   in
@@ -1262,26 +1228,24 @@ let test_server_repair_jobs_invariant () =
 
 let test_server_repair_drains_queued_target () =
   let s = server () in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit ~id:"a" pcr));
+  ignore (Testkit.call_exn s (submit ~id:"a" pcr));
   let _, warm =
     repair_reply
-      (call_exn c
+      (Testkit.call_exn s
          (P.Repair
             { id = "p1"; target = "a"; defects = [ Defect.Cell (0, 0) ] }))
   in
   Alcotest.(check bool) "forced the batch, then warm" true warm;
-  match call_exn c (P.Status "a") with
+  match Testkit.call_exn s (P.Status "a") with
   | P.Job_status { state = "done"; _ } -> ()
   | r -> Alcotest.failf "target status: %s" (P.response_to_line r)
 
 let test_server_repair_errors () =
   let s = server () in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit ~id:"a" pcr));
-  ignore (call_exn c (P.Result "a"));
+  ignore (Testkit.call_exn s (submit ~id:"a" pcr));
+  ignore (Testkit.call_exn s (P.Result "a"));
   (match
-     call_exn c
+     Testkit.call_exn s
        (P.Repair
           { id = "p1"; target = "ghost"; defects = [ Defect.Cell (0, 0) ] })
    with
@@ -1290,13 +1254,13 @@ let test_server_repair_errors () =
        (contains ~sub:"ghost" message)
    | r -> Alcotest.failf "unknown target: %s" (P.response_to_line r));
   (match
-     call_exn c
+     Testkit.call_exn s
        (P.Repair { id = "a"; target = "a"; defects = [ Defect.Cell (0, 0) ] })
    with
    | P.Rejected { op = "repair"; reason = "duplicate id"; _ } -> ()
    | r -> Alcotest.failf "duplicate id: %s" (P.response_to_line r));
   (match
-     call_exn c
+     Testkit.call_exn s
        (P.Repair
           { id = "p2"; target = "a"; defects = [ Defect.Cell (999, 999) ] })
    with

@@ -5,11 +5,9 @@
    cache disagreeing about a similarity candidate). *)
 
 module Json = Mfb_util.Json
-module Histogram = Mfb_util.Histogram
 module Cache_key = Mfb_server.Cache_key
 module Sim_index = Mfb_server.Sim_index
 module Server = Mfb_server.Server
-module Client = Mfb_server.Client
 module P = Mfb_server.Protocol
 module Warm = Mfb_repair.Warm
 module Flow = Mfb_core.Flow
@@ -298,13 +296,8 @@ let submit_assay ?(alloc = (2, 2, 0, 0)) ~id text =
       trace = None;
     }
 
-let call_exn client req =
-  match Client.call client req with
-  | Ok resp -> resp
-  | Error e -> Alcotest.failf "call failed: %s" e
-
-let result_bytes client id =
-  match call_exn client (P.Result id) with
+let result_bytes server id =
+  match Testkit.call_exn server (P.Result id) with
   | P.Job_result { result; _ } -> Json.to_string result
   | r -> Alcotest.failf "result %s: %s" id (P.response_to_line r)
 
@@ -321,45 +314,46 @@ let test_eviction_cold_recompute_path () =
   (* Retained seed: base's full result is still in the repair cache
      when the edit arrives — the warm start observes 1 virtual tick. *)
   let s1 = warm_server ~repair_cache:8 () in
-  let c1 = Client.in_process s1 in
-  ignore (call_exn c1 (submit_assay ~id:"a" base_assay));
-  ignore (result_bytes c1 "a");
-  ignore (call_exn c1 (submit_assay ~id:"b" edited_assay));
-  let warm_kept = result_bytes c1 "b" in
+  ignore (Testkit.call_exn s1 (submit_assay ~id:"a" base_assay));
+  ignore (result_bytes s1 "a");
+  ignore (Testkit.call_exn s1 (submit_assay ~id:"b" edited_assay));
+  let warm_kept = result_bytes s1 "b" in
   (* Evicted seed: a 1-entry repair cache loses base's full result to
      the filler before the edit arrives.  The similarity index still
      names base as the candidate — the server must re-synthesize the
      seed cold (2 ticks) and produce the *same* warm payload. *)
   let s2 = warm_server ~repair_cache:1 () in
-  let c2 = Client.in_process s2 in
-  ignore (call_exn c2 (submit_assay ~id:"a" base_assay));
-  ignore (result_bytes c2 "a");
-  ignore (call_exn c2 (submit_assay ~alloc:(3, 1, 0, 0) ~id:"f" filler_assay));
-  ignore (result_bytes c2 "f");
-  ignore (call_exn c2 (submit_assay ~id:"b" edited_assay));
-  let warm_evicted = result_bytes c2 "b" in
+  ignore (Testkit.call_exn s2 (submit_assay ~id:"a" base_assay));
+  ignore (result_bytes s2 "a");
+  ignore
+    (Testkit.call_exn s2
+       (submit_assay ~alloc:(3, 1, 0, 0) ~id:"f" filler_assay));
+  ignore (result_bytes s2 "f");
+  ignore (Testkit.call_exn s2 (submit_assay ~id:"b" edited_assay));
+  let warm_evicted = result_bytes s2 "b" in
   Alcotest.(check string) "payload survives seed eviction" warm_kept
     warm_evicted;
   Alcotest.(check (pair int int)) "near-hit counted, no fallback" (1, 0)
     (Server.near_hit_counts s1);
   Alcotest.(check (pair int int)) "near-hit counted after eviction" (1, 0)
     (Server.near_hit_counts s2);
-  let h1 = Server.warm_latency_histogram s1
-  and h2 = Server.warm_latency_histogram s2 in
-  Alcotest.(check int) "one warm start (kept)" 1 (Histogram.count h1);
-  Alcotest.(check int) "one warm start (evicted)" 1 (Histogram.count h2);
+  let warm = [ "near"; "latency" ] in
+  let stats1 = Server.stats_json s1 and stats2 = Server.stats_json s2 in
+  Alcotest.(check int) "one warm start (kept)" 1
+    (Testkit.stat_int stats1 (warm @ [ "count" ]));
+  Alcotest.(check int) "one warm start (evicted)" 1
+    (Testkit.stat_int stats2 (warm @ [ "count" ]));
   Alcotest.(check (float 1e-9)) "kept seed observes 1 tick" 1.0
-    (Histogram.sum h1);
+    (Testkit.stat_float stats1 (warm @ [ "sum" ]));
   Alcotest.(check (float 1e-9)) "evicted seed observes 2 ticks" 2.0
-    (Histogram.sum h2)
+    (Testkit.stat_float stats2 (warm @ [ "sum" ]))
 
 let test_similarity_off_no_near_hits () =
   let s = Server.create { Server.default_config with cache_capacity = 128 } in
-  let c = Client.in_process s in
-  ignore (call_exn c (submit_assay ~id:"a" base_assay));
-  ignore (result_bytes c "a");
-  ignore (call_exn c (submit_assay ~id:"b" edited_assay));
-  ignore (result_bytes c "b");
+  ignore (Testkit.call_exn s (submit_assay ~id:"a" base_assay));
+  ignore (result_bytes s "a");
+  ignore (Testkit.call_exn s (submit_assay ~id:"b" edited_assay));
+  ignore (result_bytes s "b");
   Alcotest.(check (pair int int)) "no near path" (0, 0)
     (Server.near_hit_counts s)
 
@@ -387,18 +381,17 @@ let replay_edit_chain ~similarity ~jobs =
     Server.create
       { Server.default_config with jobs; cache_capacity = 128; similarity }
   in
-  let c = Client.in_process s in
   let payloads =
     List.mapi
       (fun i text ->
         let id = Printf.sprintf "e%d" i in
         ignore
-          (call_exn c
+          (Testkit.call_exn s
              (P.Submit
                 { id; priority = 0; deadline = None; flow = `Ours;
                   spec = P.Assay { text; alloc = None };
                   overrides = P.no_overrides; trace = None }));
-        result_bytes c id)
+        result_bytes s id)
       edit_chain
   in
   (payloads, Server.near_hit_counts s)

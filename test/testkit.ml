@@ -102,3 +102,33 @@ let search_agrees grid ~usable ~use_weights srcs dsts answer =
     && Float.equal
          (Mfb_route.Astar.path_cost grid ~use_weights path)
          (dijkstra_cost ~w ~h ~usable ~cost srcs dsts)
+
+(* One request through [Server.handle_line], the path the stdio and TCP
+   transports take, so every call crosses the wire format both ways. *)
+let call_exn server req =
+  let module P = Mfb_server.Protocol in
+  match Mfb_server.Server.handle_line server (P.request_to_line req) with
+  | None -> Alcotest.fail "server produced no response"
+  | Some line -> (
+    match P.response_of_line line with
+    | Ok resp -> resp
+    | Error e -> Alcotest.failf "unparsable response: %s" e)
+
+(* The value at [path] in a stats object, such as
+   [[ "latency"; "count" ]] in [Server.stats_json]; [stat_int] and
+   [stat_float] read it as a number. *)
+let stat stats path =
+  List.fold_left
+    (fun j k -> Option.bind j (Mfb_util.Json.member k))
+    (Some stats) path
+
+let stat_int stats path =
+  match stat stats path with
+  | Some (Mfb_util.Json.Int n) -> n
+  | _ -> Alcotest.failf "stats lack %s" (String.concat "." path)
+
+let stat_float stats path =
+  match stat stats path with
+  | Some (Mfb_util.Json.Float f) -> f
+  | Some (Mfb_util.Json.Int n) -> float_of_int n
+  | _ -> Alcotest.failf "stats lack %s" (String.concat "." path)
