@@ -667,7 +667,8 @@ let physical_validation config pairs =
    only terms incident to the moved components.  The periodic re-syncs
    are charged to the incremental side so the reduction factor covers
    everything the annealer evaluates.  For routing, the destination-side
-   flood visits at most one cell per A* pop.  Emits BENCH_hotpath.json. *)
+   flood visits at most one cell per A* pop, and the delay ladder's
+   incumbent cuts some searches short.  Emits BENCH_hotpath.json. *)
 
 type hotpath_row = {
   hp_name : string;
@@ -676,6 +677,7 @@ type hotpath_row = {
   hp_inc : float;          (* measured incremental terms per proposal *)
   hp_reduction : float;
   hp_searches : int;
+  hp_cutoffs : int;        (* searches the ladder's incumbent ended *)
   hp_pops : int;
   hp_visits : int;
   hp_wall : float;
@@ -714,6 +716,7 @@ let hotpath_section config =
       hp_inc;
       hp_reduction = float_of_int dense /. Float.max hp_inc 1e-9;
       hp_searches = c "route" "astar.searches";
+      hp_cutoffs = c "route" "astar.cutoffs";
       hp_pops = c "route" "astar.pops";
       hp_visits = c "route" "flood.visits";
       hp_wall = wall;
@@ -724,9 +727,10 @@ let hotpath_section config =
     Table.create
       ~headers:
         [ "Benchmark"; "Ops"; "Dense terms/move"; "Incr terms/move";
-          "Reduction"; "A* searches"; "A* pops"; "Flood visits"; "Wall (s)" ]
+          "Reduction"; "A* searches"; "A* cutoffs"; "A* pops"; "Flood visits";
+          "Wall (s)" ]
   in
-  Table.set_aligns table (Table.Left :: List.init 8 (fun _ -> Table.Right));
+  Table.set_aligns table (Table.Left :: List.init 9 (fun _ -> Table.Right));
   List.iter
     (fun r ->
       Table.add_row table
@@ -737,6 +741,7 @@ let hotpath_section config =
           Printf.sprintf "%.1f" r.hp_inc;
           Printf.sprintf "%.1fx" r.hp_reduction;
           string_of_int r.hp_searches;
+          string_of_int r.hp_cutoffs;
           string_of_int r.hp_pops;
           string_of_int r.hp_visits;
           Printf.sprintf "%.3f" r.hp_wall;
@@ -769,6 +774,7 @@ let hotpath_section config =
         ("incremental_terms_per_move", Mfb_util.Json.Float r.hp_inc);
         ("term_reduction", Mfb_util.Json.Float r.hp_reduction);
         ("astar_searches", Mfb_util.Json.Int r.hp_searches);
+        ("astar_cutoffs", Mfb_util.Json.Int r.hp_cutoffs);
         ("astar_pops", Mfb_util.Json.Int r.hp_pops);
         ("flood_visits", Mfb_util.Json.Int r.hp_visits);
         ("wall_s", Mfb_util.Json.Float r.hp_wall);

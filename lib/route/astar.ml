@@ -151,8 +151,8 @@ let bound s x y =
   done;
   !best
 
-let search_multi ?stats:st ?extra_cost grid ~srcs ~dsts ~usable
-    ~use_weights =
+let search_multi ?stats:st ?extra_cost ?(cutoff = infinity) grid ~srcs
+    ~dsts ~usable ~use_weights =
   let w = Rgrid.width grid and h = Rgrid.height grid in
   let idx (x, y) = (y * w) + x in
   with_scratch (w * h) @@ fun s ->
@@ -274,8 +274,15 @@ let search_multi ?stats:st ?extra_cost grid ~srcs ~dsts ~usable
         if tentative < g_of j -. 1e-12 then record j tentative i
       end
     in
+    (* A goal pops with its g as key, and keys never fall along the pop
+       order, so once the least key reaches [cutoff] no path cheaper
+       than it is left to find. *)
     let rec loop () =
-      if s.hsize = 0 || not (flood_step ()) then report None
+      if s.hsize > 0 && s.hkey.(0) >= cutoff then begin
+        Mfb_util.Telemetry.incr ~cat:"route" "astar.cutoffs";
+        report None
+      end
+      else if s.hsize = 0 || not (flood_step ()) then report None
       else begin
         let i = heap_pop s in
         incr pops;

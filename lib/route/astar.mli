@@ -22,6 +22,7 @@ val stats : unit -> stats
 val search_multi :
   ?stats:stats ->
   ?extra_cost:(int * int -> float) ->
+  ?cutoff:float ->
   Rgrid.t ->
   srcs:(int * int) list ->
   dsts:(int * int) list ->
@@ -35,6 +36,18 @@ val search_multi :
     a cell throughout one search, and it is asked at most once per cell.
     [extra_cost] (default 0) adds a non-negative, finite per-cell
     surcharge — the congestion/history term of negotiated routing.
+
+    [cutoff] (default [infinity]) bounds the answer: the search is
+    [None] as soon as the least f-score on the open list is at least
+    [cutoff].  So it answers exactly as the uncut search when that
+    search's path costs less than [cutoff] (its cost counting the
+    surcharge), and [None] otherwise.  This needs every step to cost at
+    least 1, so that the heuristic is consistent and keys never fall
+    along the pop order; a non-negative [extra_cost] keeps that.  A
+    destination's heuristic is 0, so a path's cost is its key when it
+    pops; without a surcharge that key is {!path_cost} of the path,
+    summed in the same order.  A search the cutoff ends feeds the
+    [route/astar.cutoffs] telemetry counter.
 
     The heuristic is the least Manhattan distance to a usable
     destination, evaluated when a cell is pushed.  Alongside A*, a flood

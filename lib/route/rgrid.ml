@@ -3,26 +3,32 @@ module Fluid = Mfb_bioassay.Fluid
 
 type occupation = { interval : Interval.t; fluid : Fluid.t }
 
-(* Per-cell occupation index, rebuilt lazily after writes:
+(* Per-cell occupation index, kept current by [add_occupation]:
 
-   - [sorted]: occupations ordered by (interval end, position in the
-     canonical list) — binary search splits any query into a "settled
-     past" prefix (hi <= t) and a small "active tail" suffix.
-   - [ptop]: for each prefix length, the best and second-best
-     end-plus-wash bound [B(o) = hi(o) +. wash_time(o.fluid)] grouped by
-     fluid (the two entries always name distinct fluids).  The wash
-     constraint against a query fluid [f] needs [max B(o)] over prior
-     occupations whose fluid differs from [f]; that is the best entry
-     when its fluid differs from [f] and the second-best otherwise
-     (same-fluid priors need no wash). *)
+   - the first [n] entries of [sorted] are the occupations ordered by
+     (interval end, position in the canonical list), and [ends] holds
+     their interval ends — binary search splits any query into a
+     "settled past" prefix (hi <= t) and a small "active tail" suffix;
+   - entries [i] of [v1], [f1] and [v2] are over the first [i + 1]
+     sorted occupations: the largest end-plus-wash bound
+     [B(o) = hi(o) +. wash_time(o.fluid)], a fluid that reaches it, and
+     the largest bound of a fluid other than [f1] ([neg_infinity] for
+     none).  The wash constraint against a query fluid [f] needs
+     [max B(o)] over prior occupations whose fluid differs from [f];
+     that is [v1] when [f1] differs from [f] and [v2] otherwise
+     (same-fluid priors need no wash).
+
+   The arrays grow by doubling; their entries from [n] on are spare. *)
 type cell = {
   mutable weight : float;
   mutable occs : occupation list; (* sorted by interval start *)
   blocked : bool;
-  mutable dirty : bool;
-  mutable sorted : occupation array; (* by (interval end, list position) *)
-  mutable ends : float array; (* interval ends of [sorted] *)
-  mutable ptop : ((Fluid.t * float) option * (Fluid.t * float) option) array;
+  mutable n : int;
+  mutable sorted : occupation array;
+  mutable ends : float array;
+  mutable v1 : float array;
+  mutable f1 : Fluid.t array;
+  mutable v2 : float array;
 }
 
 type t = {
@@ -68,7 +74,8 @@ let create ~we (chip : Mfb_place.Chip.t) =
     Array.init (chip.width * chip.height) (fun i ->
         let xy = (i mod chip.width, i / chip.width) in
         { weight = we; occs = []; blocked = Hashtbl.mem blocked_tbl xy;
-          dirty = false; sorted = [||]; ends = [||]; ptop = [||] })
+          n = 0; sorted = [||]; ends = [||]; v1 = [||]; f1 = [||];
+          v2 = [||] })
   in
   let g =
     { grid_width = chip.width; grid_height = chip.height; cells;
@@ -105,6 +112,72 @@ let set_weight g xy w = (cell_exn g xy).weight <- w
 
 let occupations g xy = (cell_exn g xy).occs
 
+(* ---- Index maintenance ---------------------------------------------- *)
+
+(* Room for one more index entry: every array doubles (to at least 4),
+   keeping its first [n] entries. *)
+let grow cell occ =
+  let cap = max 4 (2 * cell.n) in
+  let widen a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 cell.n;
+    b
+  in
+  cell.sorted <- widen cell.sorted occ;
+  cell.ends <- widen cell.ends 0.;
+  cell.v1 <- widen cell.v1 0.;
+  cell.f1 <- widen cell.f1 occ.fluid;
+  cell.v2 <- widen cell.v2 0.
+
+(* The slot of a new occupation in [sorted]: after every smaller
+   interval end and, among equal ends, before the first entry [e] with
+   [Interval.compare occ e <= 0].  Equal ends keep the canonical list's
+   order, in which the new occupation goes before exactly those
+   entries, so this is where a stable sort of the list by end puts it;
+   [wash_debt]'s tie-break depends on that order. *)
+let slot cell occ =
+  let hi = occ.interval.hi in
+  let lo = ref 0 and up = ref cell.n in
+  while !lo < !up do
+    let mid = (!lo + !up) / 2 in
+    if cell.ends.(mid) < hi then lo := mid + 1 else up := mid
+  done;
+  let k = ref !lo in
+  while
+    !k < cell.n
+    && cell.ends.(!k) = hi
+    && Interval.compare occ.interval cell.sorted.(!k).interval > 0
+  do
+    incr k
+  done;
+  !k
+
+(* The prefix maxima from slot [k] on, each from the one before it. *)
+let rescan cell k =
+  for i = k to cell.n - 1 do
+    let o = cell.sorted.(i) in
+    let b = o.interval.hi +. Fluid.wash_time o.fluid in
+    let first = i = 0 in
+    let v1 = if first then neg_infinity else cell.v1.(i - 1)
+    and f1 = if first then o.fluid else cell.f1.(i - 1)
+    and v2 = if first then neg_infinity else cell.v2.(i - 1) in
+    if Fluid.equal o.fluid f1 then begin
+      cell.v1.(i) <- Float.max v1 b;
+      cell.f1.(i) <- f1;
+      cell.v2.(i) <- v2
+    end
+    else if b > v1 then begin
+      cell.v1.(i) <- b;
+      cell.f1.(i) <- o.fluid;
+      cell.v2.(i) <- v1
+    end
+    else begin
+      cell.v1.(i) <- v1;
+      cell.f1.(i) <- f1;
+      cell.v2.(i) <- Float.max v2 b
+    end
+  done
+
 let add_occupation g xy occ =
   let cell = cell_exn g xy in
   let rec insert = function
@@ -114,7 +187,14 @@ let add_occupation g xy occ =
       else o :: insert rest
   in
   cell.occs <- insert cell.occs;
-  cell.dirty <- true
+  if cell.n = Array.length cell.sorted then grow cell occ;
+  let k = slot cell occ in
+  Array.blit cell.sorted k cell.sorted (k + 1) (cell.n - k);
+  Array.blit cell.ends k cell.ends (k + 1) (cell.n - k);
+  cell.sorted.(k) <- occ;
+  cell.ends.(k) <- occ.interval.hi;
+  cell.n <- cell.n + 1;
+  rescan cell k
 
 let ports g c =
   if c < 0 || c >= Array.length g.ports then
@@ -131,53 +211,12 @@ let port g c =
 let wash_between prior fluid =
   if Fluid.equal prior.fluid fluid then 0. else Fluid.wash_time prior.fluid
 
-(* ---- Index maintenance ---------------------------------------------- *)
-
-let refresh cell =
-  if cell.dirty then begin
-    let arr = Array.of_list cell.occs in
-    (* Stable sort by interval end keeps the canonical list order among
-       equal ends — wash_debt's tie-break depends on it. *)
-    Array.stable_sort
-      (fun a b -> Float.compare (Interval.hi a.interval) (Interval.hi b.interval))
-      arr;
-    let n = Array.length arr in
-    let ends = Array.make n 0. in
-    let ptop = Array.make n (None, None) in
-    let top = ref (None, None) in
-    for i = 0 to n - 1 do
-      let o = arr.(i) in
-      ends.(i) <- Interval.hi o.interval;
-      let f = o.fluid in
-      let b = Interval.hi o.interval +. Fluid.wash_time f in
-      let best, second = !top in
-      (top :=
-         match best, second with
-         | None, _ -> (Some (f, b), None)
-         | Some (f1, v1), _ when Fluid.equal f f1 ->
-           (Some (f1, Float.max v1 b), second)
-         | Some (f1, v1), Some (f2, v2) when Fluid.equal f f2 ->
-           let v2 = Float.max v2 b in
-           if v2 > v1 then (Some (f2, v2), Some (f1, v1))
-           else (Some (f1, v1), Some (f2, v2))
-         | Some (f1, v1), second ->
-           if b > v1 then (Some (f, b), Some (f1, v1))
-           else (
-             match second with
-             | Some (_, v2) when b <= v2 -> (Some (f1, v1), second)
-             | _ -> (Some (f1, v1), Some (f, b))));
-      ptop.(i) <- !top
-    done;
-    cell.sorted <- arr;
-    cell.ends <- ends;
-    cell.ptop <- ptop;
-    cell.dirty <- false
-  end
+(* ---- Index queries -------------------------------------------------- *)
 
 (* Number of occupations whose interval end is [<= t]: upper bound by
    binary search on the end-sorted array. *)
-let settled_before cell t =
-  let lo = ref 0 and hi = ref (Array.length cell.ends) in
+let[@inline] settled_before cell t =
+  let lo = ref 0 and hi = ref cell.n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if cell.ends.(mid) <= t then lo := mid + 1 else hi := mid
@@ -186,17 +225,12 @@ let settled_before cell t =
 
 (* [max (hi o +. wash_time o.fluid)] over the first [r] end-sorted
    occupations whose fluid differs from [fluid]; [neg_infinity] when no
-   such occupation exists.  Same-fluid priors impose no wash, so the
-   top-two distinct-fluid maxima decide the query.  Every float it
-   returns is already boxed, so it allocates nothing. *)
-let wash_bound cell r fluid =
+   such occupation exists.  Inlined, so the float it reads is never
+   boxed. *)
+let[@inline] wash_bound cell r fluid =
   if r = 0 then neg_infinity
-  else
-    match cell.ptop.(r - 1) with
-    | Some (f1, v1), second ->
-      if not (Fluid.equal f1 fluid) then v1
-      else (match second with Some (_, v2) -> v2 | None -> neg_infinity)
-    | None, _ -> neg_infinity
+  else if Fluid.equal cell.f1.(r - 1) fluid then cell.v2.(r - 1)
+  else cell.v1.(r - 1)
 
 (* ---- Reference implementations (retained for differential tests) ---- *)
 
@@ -275,22 +309,19 @@ let wash_debt_ref g xy ~at fluid =
 let conflict_free_at g i iv fluid =
   let cell = g.cells.(i) in
   if cell.blocked then false
-  else
-    match cell.occs with
-    | [] -> true
-    | _ :: _ ->
-      refresh cell;
-      let n = Array.length cell.sorted in
-      let r = settled_before cell iv.Interval.lo in
-      iv.lo +. 1e-9 >= wash_bound cell r fluid
-      &&
-      let ok = ref true in
-      let i = ref r in
-      while !ok && !i < n do
-        if Interval.overlaps cell.sorted.(!i).interval iv then ok := false;
-        incr i
-      done;
-      !ok
+  else if cell.n = 0 then true
+  else begin
+    let r = settled_before cell iv.Interval.lo in
+    iv.lo +. 1e-9 >= wash_bound cell r fluid
+    &&
+    let ok = ref true in
+    let i = ref r in
+    while !ok && !i < cell.n do
+      if Interval.overlaps cell.sorted.(!i).interval iv then ok := false;
+      incr i
+    done;
+    !ok
+  end
 
 let conflict_free g xy iv fluid =
   ignore (cell_exn g xy);
@@ -300,8 +331,7 @@ let required_delay g xy iv fluid =
   let cell = cell_exn g xy in
   if cell.blocked then infinity
   else begin
-    refresh cell;
-    let n = Array.length cell.sorted in
+    let n = cell.n in
     let rec settle delay fuel =
       if fuel = 0 then delay
       else begin
@@ -335,14 +365,13 @@ let required_delay g xy iv fluid =
 
 let wash_debt g xy ~at fluid =
   let cell = cell_exn g xy in
-  refresh cell;
   let r = settled_before cell (at +. 1e-9) in
   if r = 0 then 0.
   else begin
     let maxhi = cell.ends.(r - 1) in
-    (* First end-sorted slot reaching [maxhi]: the stable sort keeps the
-       canonical list order among equal ends, so this is the same
-       occupation the reference fold selects. *)
+    (* First end-sorted slot reaching [maxhi]: equal ends keep the
+       canonical list order, so this is the same occupation the
+       reference fold selects. *)
     let lo = ref 0 and hi = ref (r - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in

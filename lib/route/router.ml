@@ -31,11 +31,11 @@ let avoiding ?is_defect grid ok =
     let w = Rgrid.width grid in
     fun i -> ok i && not (defect (i mod w, i / w))
 
-let search ?stats ?is_defect ~use_weights grid tr ~srcs ~dsts ~delay =
+let search ?stats ?is_defect ?cutoff ~use_weights grid tr ~srcs ~dsts ~delay =
   let usable =
     avoiding ?is_defect grid (Routed.usable grid tr ~delay ~src_ports:srcs)
   in
-  Astar.search_multi ?stats grid ~srcs ~dsts ~usable ~use_weights
+  Astar.search_multi ?stats ?cutoff grid ~srcs ~dsts ~usable ~use_weights
 
 let attempt ~is_defect grid kind tr ~delay =
   let srcs, dsts = Routed.endpoints grid kind tr in
@@ -46,9 +46,9 @@ let route_one ?(weight_update = true) ?is_defect ?(kind = Routed.Transport)
   let cold = policy = Cheapest in
   let srcs, dsts = Routed.endpoints grid kind tr in
   let effort = Astar.stats () in
-  let found d =
-    search ~stats:effort ?is_defect ~use_weights:weight_update grid tr ~srcs
-      ~dsts ~delay:d
+  let found ?cutoff d =
+    search ~stats:effort ?is_defect ?cutoff ~use_weights:weight_update grid tr
+      ~srcs ~dsts ~delay:d
     |> Option.map (fun path -> (path, d))
   in
   let ladder = delay :: List.filter (fun d -> d > delay) delay_candidates in
@@ -56,9 +56,19 @@ let route_one ?(weight_update = true) ?is_defect ?(kind = Routed.Transport)
     match policy with
     | First_fit -> List.find_map found ladder
     | Cheapest ->
+      (* Once a candidate scores [s'], a path at delay [d] can change
+         the choice only by costing less than [s' - 8d].  Its search
+         stops once no path below that plus 1e-6 is left: any path it
+         would have found scores above [s'], as rounding in the two sums
+         stays far below 1e-6, and so loses to the incumbent. *)
       List.fold_left
         (fun best d ->
-          match found d with
+          let cutoff =
+            Option.map
+              (fun (_, s') -> s' -. (delay_cost_per_second *. d) +. 1e-6)
+              best
+          in
+          match found ?cutoff d with
           | None -> best
           | Some ((path, _) as c) ->
             let s =

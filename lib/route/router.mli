@@ -32,12 +32,16 @@ val route :
 type policy =
   | Cheapest
       (** Cold synthesis: the lowest [path cost + 8 x delay] over every
-          candidate, a tie keeping the earlier one.  If none works, the
-          shortest obstacle-avoiding path is settled at whatever delay
-          clears it; if even that fails the task is committed
-          [Unresolved], conflicts and all.  Only this policy feeds the
-          router's telemetry ([conflict.rejections], [unresolved],
-          [astar.task_pops], [task.delay], [task.path_cells]). *)
+          candidate, a tie keeping the earlier one.  Once a candidate
+          works, the search at each later one stops as soon as no path
+          there can beat it ({!Astar.search_multi}'s [cutoff]), which
+          changes no choice.  If none works, the shortest
+          obstacle-avoiding path is settled at whatever delay clears it;
+          if even that fails the task is committed [Unresolved],
+          conflicts and all.  Only this policy feeds the router's
+          telemetry ([conflict.rejections], [unresolved],
+          [astar.task_pops], [task.delay], [task.path_cells],
+          [astar.cutoffs]). *)
   | First_fit
       (** Repair and warm start: the first candidate that works.  If none
           does, the settle fallback is accepted up to a 16 s delay;

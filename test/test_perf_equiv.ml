@@ -14,6 +14,7 @@ module Annealer = Mfb_place.Annealer
 module Rgrid = Mfb_route.Rgrid
 module Astar = Mfb_route.Astar
 module Router = Mfb_route.Router
+module Routed = Mfb_route.Routed
 module Pqueue = Mfb_util.Pqueue
 module Interval = Mfb_util.Interval
 module Fluid = Mfb_bioassay.Fluid
@@ -285,10 +286,29 @@ let fluids =
 
 (* Lattice times (multiples of 0.25) make exact end coincidences — the
    boundaries the prefix/suffix split pivots on — common instead of
-   measure-zero. *)
+   measure-zero.  Each generated occupation may bring a twin, inserted
+   right after it: one with the same end and an earlier start, or one
+   with the same interval and the next fluid, so that the index's tie
+   rule among equal ends decides [wash_debt]. *)
 let occs_gen =
   QCheck2.Gen.(
-    list_size (int_bound 12) (triple (int_bound 120) (int_bound 12) (int_bound 2)))
+    list_size (int_bound 12)
+      (pair
+         (triple (int_range 4 120) (int_bound 12) (int_bound 2))
+         (pair (int_bound 2) (pair (int_range 1 4) (int_bound 2)))))
+
+let occupation_of (lo, dur, f) =
+  let lo = float_of_int lo *. 0.25 in
+  { Rgrid.interval = Interval.make lo (lo +. (float_of_int dur *. 0.25));
+    fluid = fluids.(f) }
+
+let with_twins (((lo, dur, f) as base), (twin, (shift, f'))) =
+  occupation_of base
+  ::
+  (match twin with
+   | 1 -> [ occupation_of (lo - shift, dur + shift, f') ]
+   | 2 -> [ occupation_of (lo, dur, (f + 1) mod 3) ]
+   | _ -> [])
 
 let agree grid cell iv fluid =
   let verdict = Rgrid.conflict_free_ref grid cell iv fluid in
@@ -304,6 +324,9 @@ let agree grid cell iv fluid =
        (Rgrid.wash_debt grid cell ~at:(Interval.lo iv) fluid)
        (Rgrid.wash_debt_ref grid cell ~at:(Interval.lo iv) fluid)
 
+(* The index is kept current by every write, so the queries must agree
+   with the list references after each insertion, in generated
+   (unsorted) order. *)
 let prop_rgrid_differential =
   qtest ~count:200 "indexed Rgrid queries match the list references"
     QCheck2.Gen.(
@@ -312,20 +335,11 @@ let prop_rgrid_differential =
       let chip = Chip.scanline (components_of (1, 0, 0, 0)) in
       let grid = Rgrid.create ~we:10. chip in
       let cell = (0, 0) in
-      List.iter
-        (fun (lo, dur, f) ->
-          let lo = float_of_int lo *. 0.25 in
-          Rgrid.add_occupation grid cell
-            { Rgrid.interval =
-                Interval.make lo (lo +. (float_of_int dur *. 0.25));
-              fluid = fluids.(f) })
-        occs;
-      let fluid = fluids.(qf) in
       let lo = float_of_int qlo *. 0.25 in
       let iv = Interval.make lo (lo +. (float_of_int qdur *. 0.25)) in
       (* The generated query plus boundary probes at every occupation
          end: exact coincidences, zero-length windows, straddles. *)
-      let queries =
+      let queries () =
         iv
         :: List.concat_map
              (fun (o : Rgrid.occupation) ->
@@ -335,16 +349,50 @@ let prop_rgrid_differential =
                  Interval.make hi hi ])
              (Rgrid.occupations grid cell)
       in
-      List.for_all (fun iv -> agree grid cell iv fluid) queries
-      && begin
-        (* Interleave a write and re-query everything: the index must
-           refresh, not serve stale answers. *)
-        Rgrid.add_occupation grid cell { Rgrid.interval = iv; fluid };
-        List.for_all
-          (fun iv ->
-            Array.for_all (fun f -> agree grid cell iv f) fluids)
-          queries
-      end)
+      List.for_all
+        (fun occ ->
+          Rgrid.add_occupation grid cell occ;
+          List.for_all
+            (fun iv -> Array.for_all (fun f -> agree grid cell iv f) fluids)
+            (queries ()))
+        (List.concat_map with_twins occs @ [ occupation_of (qlo, qdur, qf) ]))
+
+(* Writes and verdicts interleave on a routing grid, and no verdict
+   allocates: the index is brought up to date by the write itself. *)
+let test_rgrid_query_allocation () =
+  let chip = Chip.scanline (components_of (1, 0, 0, 0)) in
+  let grid = Rgrid.create ~we:10. chip in
+  let cells = [| (0, 0); (1, 0); (0, 1) |] in
+  if Array.exists (Rgrid.blocked grid) cells then
+    Alcotest.fail "a probed cell is blocked";
+  let w = Rgrid.width grid in
+  let windows =
+    Array.init 24 (fun k ->
+        let lo = float_of_int (k * 7 mod 40) *. 0.5 in
+        Interval.make lo (lo +. 1.5))
+  in
+  let words = ref 0. in
+  for k = 0 to 59 do
+    let xy = cells.(k mod 3) in
+    let lo = float_of_int (k * 13 mod 50) *. 0.5 in
+    Rgrid.add_occupation grid xy
+      { Rgrid.interval = Interval.make lo (lo +. 1.);
+        fluid = fluids.(k mod 3) };
+    let w0 = Gc.minor_words () in
+    for c = 0 to Array.length cells - 1 do
+      let x, y = cells.(c) in
+      for v = 0 to Array.length windows - 1 do
+        for f = 0 to Array.length fluids - 1 do
+          ignore
+            (Sys.opaque_identity
+               (Rgrid.conflict_free_at grid ((y * w) + x) windows.(v)
+                  fluids.(f)))
+        done
+      done
+    done;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  Alcotest.(check (float 0.)) "minor words allocated by verdicts" 0. !words
 
 (* --- One-pass A* ---------------------------------------------------------- *)
 
@@ -459,7 +507,10 @@ let two_pass_search grid ~srcs ~dsts ~usable ~use_weights =
    sends A* past cells the flood already judged.  One mask in three
    rings the sources with unusable cells, and one in three the
    destinations, so the open list empties with the flood still going,
-   and the flood runs dry with A* still going. *)
+   and the flood runs dry with A* still going.  A cutoff a few halves
+   either side of the answer's cost (that cost itself included) must
+   leave the answer as it is when the answer costs less, and give [None]
+   otherwise. *)
 let prop_flood_search =
   let cell = QCheck2.Gen.(pair (int_bound 7) (int_bound 7)) in
   let ends = QCheck2.Gen.(list_size (int_range 1 3) cell) in
@@ -469,9 +520,9 @@ let prop_flood_search =
         (quad (int_range 1 8) (int_range 1 8) bool (oneofl [ 1; 3; 30 ]))
         (pair (int_bound 2) (list_repeat 64 (int_bound 9)))
         (list_repeat 64 (int_bound 30))
-        (pair ends ends))
-    (fun ((w, h, use_weights, spread), (walled, mask), weights, (srcs, dsts))
-       ->
+        (triple ends ends (int_range (-4) 4)))
+    (fun ((w, h, use_weights, spread), (walled, mask), weights,
+          (srcs, dsts, cut)) ->
       let mask = Array.of_list mask and weights = Array.of_list weights in
       let at (x, y) = (y * w) + x in
       let fit = List.map (fun (x, y) -> (x mod w, y mod h)) in
@@ -494,12 +545,45 @@ let prop_flood_search =
         Rgrid.set_weight grid (i mod w, i / w)
           (0.5 *. float_of_int (weights.(i) mod (spread + 1)))
       done;
-      let answer =
-        Astar.search_multi grid ~srcs ~dsts
+      let search ?cutoff () =
+        Astar.search_multi ?cutoff grid ~srcs ~dsts
           ~usable:(Testkit.by_index ~w usable) ~use_weights
       in
+      let answer = search () in
+      let cost = Option.map (Astar.path_cost grid ~use_weights) answer in
+      let cutoff =
+        Option.value cost ~default:4. +. (0.5 *. float_of_int cut)
+      in
       answer = two_pass_search grid ~srcs ~dsts ~usable ~use_weights
-      && Testkit.search_agrees grid ~usable ~use_weights srcs dsts answer)
+      && Testkit.search_agrees grid ~usable ~use_weights srcs dsts answer
+      && search ~cutoff ()
+         = match cost with Some c when c < cutoff -> answer | _ -> None)
+
+(* The schedule and annealed chip of an assay, as the paper flow's
+   first placement sees them. *)
+let routing_inputs graph allocation =
+  let config = Mfb_core.Config.default in
+  let sched =
+    Mfb_schedule.Engine.run ~case1:true ~tc:config.tc graph allocation
+  in
+  let nets =
+    Energy.weigh ~beta:config.beta ~gamma:config.gamma
+      (Mfb_place.Net.of_schedule sched)
+  in
+  let chip =
+    (Annealer.place ~params:config.sa ~rng:(Rng.create config.seed) ~nets
+       sched.components)
+      .chip
+  in
+  (chip, sched)
+
+let table1_routing =
+  lazy
+    (List.map
+       (fun (inst : Mfb_core.Suite.instance) ->
+         ( Mfb_bioassay.Seq_graph.name inst.graph,
+           routing_inputs inst.graph inst.allocation ))
+       (Mfb_core.Suite.all ()))
 
 (* Routing the Table I assays allocates at most 30 words per A* pop,
    summed over all seven: a verdict on a cell allocates nothing, and the
@@ -510,20 +594,7 @@ let test_routing_allocation () =
   let config = Mfb_core.Config.default in
   let words, pops =
     List.fold_left
-      (fun (words, pops) (inst : Mfb_core.Suite.instance) ->
-        let sched =
-          Mfb_schedule.Engine.run ~case1:true ~tc:config.tc inst.graph
-            inst.allocation
-        in
-        let nets =
-          Energy.weigh ~beta:config.beta ~gamma:config.gamma
-            (Mfb_place.Net.of_schedule sched)
-        in
-        let chip =
-          (Annealer.place ~params:config.sa ~rng:(Rng.create config.seed)
-             ~nets sched.components)
-            .chip
-        in
+      (fun (words, pops) (_, (chip, sched)) ->
         let route () = Router.route ~we:config.we ~tc:config.tc chip sched in
         let traced =
           Test_util.with_fake_sink (fun sink ->
@@ -533,17 +604,119 @@ let test_routing_allocation () =
         let w0 = Gc.minor_words () in
         ignore (Sys.opaque_identity (route ()));
         (words +. (Gc.minor_words () -. w0), pops + traced))
-      (0., 0) (Mfb_core.Suite.all ())
+      (0., 0) (Lazy.force table1_routing)
   in
   let per_pop = words /. float_of_int pops in
   if per_pop > 30. then
     Alcotest.failf "%.1f words per A* pop (at most 30)" per_pop
 
+(* --- Incumbent cutoff on the delay ladder ------------------------------ *)
+
+(* A copy of [Router.route_one]'s [Cheapest] policy from before the
+   incumbent cutoff, for a transport at its own delay 0: every ladder
+   delay is searched to the end, the lowest [path cost + 8 x delay]
+   wins and a tie keeps the earlier delay.  With no candidate, the
+   shortest obstacle-avoiding path is settled at whatever delay clears
+   it, or committed with its conflicts. *)
+let uncut_cheapest grid ~tc (tr : Mfb_schedule.Types.transport) =
+  let kind = Routed.Transport in
+  let srcs, dsts = Routed.endpoints grid kind tr in
+  let commit path delay = Routed.commit_path grid ~tc kind tr ~path ~delay in
+  let chosen =
+    List.fold_left
+      (fun best d ->
+        match
+          Router.attempt ~is_defect:(fun _ -> false) grid kind tr ~delay:d
+        with
+        | None -> best
+        | Some path ->
+          let s = Astar.path_cost grid ~use_weights:true path +. (8. *. d) in
+          (match best with
+           | Some (_, s') when s' <= s -> best
+           | Some _ | None -> Some ((path, d), s)))
+      None
+      [ 0.; 0.5; 1.0; 1.5; 2.0; 3.0; 4.0; 6.0; 8.0 ]
+  in
+  match chosen with
+  | Some ((path, d), _) ->
+    if d = 0. then Router.In_window (commit path d)
+    else Router.Delayed (commit path d)
+  | None ->
+    let settle path =
+      match Routed.settle_delay grid tr ~src_ports:srcs path with
+      | Some d -> Router.Delayed (commit path d)
+      | None -> Router.Unresolved (commit path 0.)
+    in
+    (match
+       Astar.search_multi grid ~srcs ~dsts
+         ~usable:(fun i -> not (Rgrid.blocked_at grid i))
+         ~use_weights:false
+     with
+     | Some path -> settle path
+     | None -> settle [ List.hd srcs; List.hd dsts ])
+
+(* The smoke rungs of perfbench's [scale] workload. *)
+let scale_smoke_routing () =
+  List.map
+    (fun n ->
+      let graph =
+        Mfb_bioassay.Synthetic.generate
+          ~name:(Printf.sprintf "scale-%d" n)
+          { Mfb_bioassay.Synthetic.default_params with
+            n_ops = n; layer_width = max 4 (n / 25); seed = n }
+      in
+      let m = max 2 (n / 16) in
+      let allocation =
+        Allocation.make ~mixers:m ~heaters:(max 1 (m / 2))
+          ~filters:(max 1 (m / 4)) ~detectors:(max 1 (m / 4))
+      in
+      (Mfb_bioassay.Seq_graph.name graph, routing_inputs graph allocation))
+    [ 30; 60 ]
+
+(* Every transport of the Table I assays and of the smoke [scale] rungs,
+   routed on twin grids, by [Router.route_one] and by the uncut copy:
+   the same outcome, path and delay, one transport at a time.  The
+   cutoff must also have ended some searches. *)
+let test_ladder_cutoff () =
+  let config = Mfb_core.Config.default in
+  let tc = config.tc in
+  let summary = function
+    | Router.In_window t -> ("in window", t.Routed.path, t.delay)
+    | Delayed t -> ("delayed", t.path, t.delay)
+    | Unresolved t -> ("unresolved", t.path, t.delay)
+    | Unroutable -> ("unroutable", [], 0.)
+  in
+  let cutoffs =
+    Test_util.with_fake_sink (fun sink ->
+        List.iter
+          (fun (name, (chip, sched)) ->
+            let cut = Rgrid.create ~we:config.we chip
+            and uncut = Rgrid.create ~we:config.we chip in
+            List.iteri
+              (fun k tr ->
+                let a, pa, da =
+                  summary (Router.route_one ~policy:Cheapest cut ~tc tr)
+                and b, pb, db = summary (uncut_cheapest uncut ~tc tr) in
+                if (a, pa, da) <> (b, pb, db) then
+                  Alcotest.failf
+                    "%s transport %d: %s at %g over %d cells, uncut %s at %g \
+                     over %d cells"
+                    name k a da (List.length pa) b db (List.length pb))
+              (Routed.start_order sched))
+          (Lazy.force table1_routing @ scale_smoke_routing ());
+        Mfb_util.Telemetry.counter_total sink ~cat:"route" "astar.cutoffs")
+  in
+  if cutoffs = 0 then Alcotest.fail "the cutoff ended no search"
+
 let suites =
   [ ( "perf.equiv",
       [ prop_incremental_energy; prop_walk_oracle; prop_rgrid_differential;
+        Alcotest.test_case "Rgrid verdicts allocate nothing between writes"
+          `Quick test_rgrid_query_allocation;
         prop_flood_search;
         Alcotest.test_case "walk allocates at most 200 words per move"
           `Quick test_walk_allocation;
         Alcotest.test_case "routing allocates at most 30 words per A* pop"
-          `Quick test_routing_allocation ] ) ]
+          `Quick test_routing_allocation;
+        Alcotest.test_case "ladder cutoff = every delay searched to the end"
+          `Quick test_ladder_cutoff ] ) ]
