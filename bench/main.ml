@@ -638,10 +638,7 @@ let physical_validation config pairs =
       let hydro =
         Mfb_route.Hydraulics.analyse ~tc:config.Config.tc ours.routing
       in
-      let y =
-        Mfb_route.Repair.single_defect_yield ~we:config.we ~tc:config.tc
-          ours.chip ours.schedule ours.routing
-      in
+      let y = Mfb_repair.Plan.single_defect_yield ~config ours in
       Table.add_row table
         [
           ours.benchmark;

@@ -1,8 +1,8 @@
 (* Fault tolerance: what happens when a channel cell fails after
-   fabrication?  The repair engine rips up the transports crossing the
-   defect and re-routes them around it under the original timing windows;
-   the single-defect yield is the fraction of channel cells whose failure
-   the design survives.
+   fabrication?  The repair ladder rips up the transports crossing the
+   defect and re-routes them around it; the single-defect yield is the
+   fraction of used channel cells whose failure the design survives on
+   the ladder's first rung, under the original timing windows.
 
    Run with: dune exec examples/fault_tolerance.exe *)
 
@@ -14,17 +14,17 @@ let () =
   List.iter
     (fun (inst : Mfb_core.Suite.instance) ->
       let r = Mfb_core.Flow.run ~config:cfg inst.graph inst.allocation in
-      let y =
-        Mfb_route.Repair.single_defect_yield ~we:cfg.we ~tc:cfg.tc r.chip
-          r.schedule r.routing
-      in
+      let y = Mfb_repair.Plan.single_defect_yield ~config:cfg r in
       Printf.printf "  %-11s %3.0f%%  (%d of %d defects survivable)\n"
         r.benchmark (100. *. y.yield) y.survived y.cells_tested;
       match y.worst with
-      | Some o ->
+      | Some ((x, y), report) ->
         Printf.printf
-          "              worst cell (%d,%d): %d tasks hit, %d re-routable\n"
-          (fst o.defect) (snd o.defect) o.affected o.repaired
+          "              worst cell (%d,%d): %d tasks hit, %d re-routable%s\n"
+          x y report.ripped_up report.rerouted
+          (match report.rung with
+           | Some Resynthesized -> " (after a full re-route)"
+           | _ -> "")
       | None -> ())
     (Mfb_core.Suite.all ());
   print_newline ();

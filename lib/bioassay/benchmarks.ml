@@ -56,26 +56,6 @@ let cpa () =
   Seq_graph.create ~name:"CPA" ~ops
     ~edges:(tree_edges @ chain_edges @ detect_edges)
 
-let serial_dilution ?(levels = 6) () =
-  if levels < 1 then invalid_arg "Benchmarks.serial_dilution: levels < 1";
-  (* Mixes 0 .. levels-1 form the dilution chain; detection for level i is
-     operation levels + i. *)
-  let dilution i =
-    (* Successive dilutions get progressively easier to wash. *)
-    Fluid.make
-      ~name:(Printf.sprintf "dilution-%d" (i + 1))
-      ~diffusion:(1e-7 *. float_of_int (1 lsl min i 20))
-  in
-  let mixes = List.init levels (fun id -> mix ~id (dilution id)) in
-  let detects =
-    List.init levels (fun i ->
-        detect ~id:(levels + i) (Fluid.of_palette i))
-  in
-  let chain = List.init (levels - 1) (fun i -> (i, i + 1)) in
-  let reads = List.init levels (fun i -> (i, levels + i)) in
-  Seq_graph.create ~name:"Serial-dilution" ~ops:(mixes @ detects)
-    ~edges:(chain @ reads)
-
 let fig2_example () =
   (* Ten operations; ids here are the paper's o1..o10 minus one.  Mix
      durations 5 s, heat 4 s, detect 1 s reproduce the priority value 21

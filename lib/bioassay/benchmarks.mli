@@ -19,13 +19,6 @@ val cpa : unit -> Seq_graph.t
     (15 mixes) whose 8 leaves each feed a 4-mix reagent chain and a final
     detection: 47 mixes + 8 detections = 55 operations. *)
 
-val serial_dilution : ?levels:int -> unit -> Seq_graph.t
-(** A serial-dilution ladder, the workhorse of quantitative assays: each
-    of the [levels] (default 6) dilution steps mixes the previous
-    dilution with buffer and every level is read out by a detection —
-    [2 * levels] operations in a comb shape that stresses Case-I
-    binding (the mix chain) and detector sharing simultaneously. *)
-
 val fig2_example : unit -> Seq_graph.t
 (** The 10-operation illustrative bioassay of the paper's Fig. 2(a),
     reconstructed from the bindings and transports discussed in §II-C

@@ -18,15 +18,7 @@ val analyse : Seq_graph.t -> t
     [k] batches); each of the [n] inputs of an operation contributes
     [demand / n]. *)
 
-val edge_volume : t -> int * int -> float
-(** Chamber units carried over a dependency edge.
-    @raise Not_found for an edge absent from the graph. *)
-
-val external_input : t -> int -> float
-(** Chamber units of fresh reagent dispensed into source operation [op]
-    beyond what its parents deliver ([production - sum of in-edges]);
-    for a source this is its whole production. *)
-
 val total_reagent : t -> float
-(** Total fresh reagent consumed by the assay (sum of
-    {!external_input} over all operations). *)
+(** Total fresh reagent consumed by the assay: summed over all
+    operations, the chamber units dispensed into each beyond what its
+    parents deliver (for a source, its whole production). *)

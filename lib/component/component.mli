@@ -15,8 +15,6 @@ val make : id:int -> kind:Mfb_bioassay.Operation.kind -> t
 (** A component with the default footprint for its kind
     (Mixer 3x3, Heater 2x2, Filter 2x2, Detector 2x2). *)
 
-val default_footprint : Mfb_bioassay.Operation.kind -> int * int
-
 val qualified : t -> Mfb_bioassay.Operation.t -> bool
 (** [qualified c op] is true when [c] can execute [op]. *)
 

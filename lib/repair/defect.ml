@@ -108,6 +108,26 @@ let check (chip : Chip.t) p =
         else Ok ())
     (Ok ()) p
 
+let owner (chip : Chip.t) (cx, cy) =
+  let n = Array.length chip.components in
+  let rec scan i =
+    if i >= n then None
+    else
+      let x, y, w, h = Chip.footprint chip i in
+      if cx >= x && cx < x + w && cy >= y && cy < y + h then Some i
+      else scan (i + 1)
+  in
+  scan 0
+
+let cells (chip : Chip.t) =
+  let acc = ref [] in
+  for y = chip.height - 1 downto 0 do
+    for x = chip.width - 1 downto 0 do
+      if owner chip (x, y) = None then acc := (x, y) :: !acc
+    done
+  done;
+  !acc
+
 (* Generators.  One fresh [Random.State] per call, seeded from the
    caller's seed and a fixed tag, so the plan is a pure function of
    (seed, chip). *)
@@ -117,7 +137,7 @@ let rng_of seed = Random.State.make [| 0x64656663; seed |]
 let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
 let single_cell ~seed chip =
-  match Mfb_route.Repair.cells chip with
+  match cells chip with
   | [] -> []
   | cells ->
     let x, y = pick (rng_of seed) cells in
@@ -125,7 +145,7 @@ let single_cell ~seed chip =
 
 let clustered ~seed ~radius chip =
   if radius < 0 then invalid_arg "Defect.clustered: negative radius";
-  match Mfb_route.Repair.cells chip with
+  match cells chip with
   | [] -> []
   | cells ->
     let cx, cy = pick (rng_of seed) cells in
@@ -138,7 +158,7 @@ let clustered ~seed ~radius chip =
 
 let progressive ~seed ~count chip =
   if count < 0 then invalid_arg "Defect.progressive: negative count";
-  let cells = Array.of_list (Mfb_route.Repair.cells chip) in
+  let cells = Array.of_list (cells chip) in
   let n = Array.length cells in
   if n = 0 then []
   else begin

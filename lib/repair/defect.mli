@@ -9,8 +9,8 @@
     identically everywhere.
 
     All generators draw from the canonical row-major channel-cell
-    enumeration ([Mfb_route.Repair.cells]) with a [Random.State] seeded
-    from the caller's seed only, so a (seed, chip) pair names one plan
+    enumeration ({!cells}) with a [Random.State] seeded from the
+    caller's seed only, so a (seed, chip) pair names one plan
     forever. *)
 
 type target =
@@ -50,6 +50,21 @@ val of_json : Mfb_util.Json.t -> (plan, string) result
 
 val to_file : string -> plan -> unit
 val of_file : string -> (plan, string) result
+
+(** {2 Channel cells} *)
+
+val cells : Mfb_place.Chip.t -> (int * int) list
+(** All channel cells of the chip — cells not covered by any component
+    footprint — in {e row-major} order: [(0,0), (1,0), …, (w-1,0),
+    (0,1), …].  The generators below and [Plan.single_defect_yield]
+    enumerate cells in this order, so a "cell index" means the same
+    cell everywhere. *)
+
+val owner : Mfb_place.Chip.t -> int * int -> int option
+(** [owner chip cell] is the component whose footprint covers [cell]
+    (the lowest such id, though footprints never overlap on a legal
+    chip), or [None] for a channel cell.  [Plan.repair] lifts a cell
+    defect with an owner to that component's fault. *)
 
 (** {2 Seeded generators} *)
 

@@ -48,7 +48,7 @@ let normalize chip raw =
       (fun (cells, comps) t ->
         match t with
         | Defect.Cell (x, y) ->
-          (match Mfb_route.Repair.owner chip (x, y) with
+          (match Defect.owner chip (x, y) with
            | Some c -> (cells, c :: comps)
            | None -> ((x, y) :: cells, comps))
         | Defect.Component c -> (cells, c :: comps))
@@ -338,3 +338,34 @@ let report_to_json (r : report) =
       ("makespan_before", Json.Float r.makespan_before);
       ("makespan_after", Json.Float r.makespan_after);
     ]
+
+type yield_report = {
+  cells_tested : int;
+  survived : int;
+  yield : float;
+  worst : ((int * int) * report) option;
+}
+
+let single_defect_yield ~config (result : Mfb_core.Result.t) =
+  let used = Rgrid.used_cells result.routing.grid in
+  let cells =
+    List.filter (fun c -> List.mem c used) (Defect.cells result.chip)
+  in
+  let reports =
+    List.map
+      (fun c -> (c, (repair ~config result ~defects:[ Defect.Cell c ]).report))
+      cells
+  in
+  let in_window (_, (r : report)) =
+    r.survived && (r.rung = None || r.rung = Some Rerouted)
+  in
+  let survived = List.length (List.filter in_window reports) in
+  let tested = List.length cells in
+  {
+    cells_tested = tested;
+    survived;
+    yield =
+      (if tested = 0 then 1.0
+       else float_of_int survived /. float_of_int tested);
+    worst = List.find_opt (fun c -> not (in_window c)) reports;
+  }

@@ -98,3 +98,22 @@ val verify :
 val report_to_json : report -> Mfb_util.Json.t
 (** Stable field order; the byte-compared payload of the serve
     protocol's repair reply and the CLI's [--json] output. *)
+
+(** {2 Single-defect yield} *)
+
+type yield_report = {
+  cells_tested : int;   (** used channel cells of the design *)
+  survived : int;
+  yield : float;        (** [survived / cells_tested]; 1.0 for none *)
+  worst : ((int * int) * report) option;
+      (** the first cell, in row-major order, that the design does not
+          survive, with its repair report *)
+}
+
+val single_defect_yield :
+  config:Mfb_core.Config.t -> Mfb_core.Result.t -> yield_report
+(** Fails every used channel cell in turn, in row-major order, through
+    [repair ~defects:[Cell c]].  The design survives a cell when the
+    report is [survived] at rung [None] or [Rerouted]: every ripped-up
+    task re-routed in its own window, the schedule untouched.  This is
+    the robustness figure EXPERIMENTS.md quotes. *)

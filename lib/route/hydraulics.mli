@@ -8,15 +8,12 @@
     length, and at constant driving pressure the transport time of one
     chamber volume grows with the path's resistance.
 
-    Calibration: the pump pressure is chosen so that a path of
-    {!reference_cells} cells takes exactly [tc] — the designer's implied
-    operating point.  Every routed transport then gets a {e physical}
-    transport time proportional to its cell count, and the report shows
-    how far the [tc] abstraction strays on the actual design. *)
-
-val reference_cells : int
-(** Path length (in cells) that takes exactly [tc] at the calibrated
-    pressure (8 — a typical port-to-port run on the suite's chips). *)
+    Calibration: the pump pressure is chosen so that a path of 8 cells
+    (a typical port-to-port run on the suite's chips) takes exactly
+    [tc] — the designer's implied operating point.  Every routed
+    transport then gets a {e physical} transport time proportional to
+    its cell count, and the report shows how far the [tc] abstraction
+    strays on the actual design. *)
 
 type task_check = {
   edge : int * int;

@@ -10,14 +10,6 @@
     operation (named ["input-oN"], diffusion drawn from the palette);
     the waste run carries the sink's output fluid. *)
 
-val templates :
-  tc:float ->
-  Mfb_schedule.Types.t ->
-  (Mfb_schedule.Types.transport * Routed.kind) list
-(** Pseudo-transports for every source (window [\[start - tc, start))) and
-    sink operation (window [\[finish, finish + tc))), ordered by window
-    start. *)
-
 val finalize :
   weight_update:bool ->
   route_io:bool ->

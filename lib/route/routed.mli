@@ -1,9 +1,6 @@
 (** Shared result types and helpers of every router: task endpoints, the
     routing order, occupancy, commits and conflict predicates. *)
 
-val pitch_mm : float
-(** Physical length of one grid-cell channel segment (10 mm). *)
-
 type kind =
   | Transport  (** a scheduled component-to-component transport *)
   | Dispense   (** input fluid from a chip-border inlet to a component *)
@@ -25,7 +22,8 @@ type task = {
 type result = {
   tasks : task list;                (** in routing order *)
   grid : Rgrid.t;                   (** final grid state *)
-  total_channel_length_mm : float;  (** distinct used cells x pitch *)
+  total_channel_length_mm : float;
+      (** distinct used cells x the 10 mm cell pitch *)
   total_channel_wash : float;       (** sum of [pre_wash] *)
   total_delay : float;              (** sum of postponements *)
   unresolved : int;                 (** tasks left with conflicts *)

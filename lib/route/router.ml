@@ -37,10 +37,6 @@ let search ?stats ?is_defect ?cutoff ~use_weights grid tr ~srcs ~dsts ~delay =
   in
   Astar.search_multi ?stats ?cutoff grid ~srcs ~dsts ~usable ~use_weights
 
-let attempt ~is_defect grid kind tr ~delay =
-  let srcs, dsts = Routed.endpoints grid kind tr in
-  search ~is_defect ~use_weights:true grid tr ~srcs ~dsts ~delay
-
 let route_one ?(weight_update = true) ?is_defect ?(kind = Routed.Transport)
     ?(delay = 0.) ~policy grid ~tc (tr : Types.transport) =
   let cold = policy = Cheapest in

@@ -74,15 +74,3 @@ val route_one :
     {!Routed.commit_path}.  [weight_update] (default true) selects the
     weighted cost and the wash-weight update, as in {!route}.
     Deterministic. *)
-
-val attempt :
-  is_defect:(int * int -> bool) ->
-  Rgrid.t ->
-  Routed.kind ->
-  Mfb_schedule.Types.transport ->
-  delay:float ->
-  (int * int) list option
-(** [attempt ~is_defect grid kind transport ~delay] is one rung of
-    {!route_one}'s ladder: the weighted, conflict-aware A* between the
-    task's {!Routed.endpoints} at exactly [delay], avoiding defect cells.
-    Commits nothing. *)

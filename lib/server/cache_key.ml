@@ -127,5 +127,4 @@ let make ?(flow = "ours") ~config ~graph
 
 let equal = Int64.equal
 let compare = Int64.compare
-let hash k = Int64.to_int k land max_int
 let to_hex k = Printf.sprintf "%016Lx" k

@@ -36,10 +36,6 @@ val make :
     (default ["ours"]) distinguishes the paper's flow from the baseline
     and ablations. *)
 
-val graph_fingerprint : Mfb_bioassay.Seq_graph.t -> int64
-(** The relabelling-invariant structural hash of the graph alone
-    (exposed for tests: permuting operation ids must not change it). *)
-
 val neighborhood_hashes : Mfb_bioassay.Seq_graph.t -> int64 array
 (** Per-operation radius-1 hashes, indexed by operation id: the op's
     own label (a hash of its kind, duration and output-fluid
@@ -51,8 +47,6 @@ val neighborhood_hashes : Mfb_bioassay.Seq_graph.t -> int64 array
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
-(** For [Hashtbl]-style use. *)
 
 val to_hex : t -> string
 (** 16 lowercase hex digits — the wire form quoted in protocol

@@ -108,14 +108,8 @@ type response =
   | Bad_request of { id : string option; message : string }
       (** malformed request *)
 
-val request_to_json : request -> Mfb_util.Json.t
-val request_of_json : Mfb_util.Json.t -> (request, string) result
-
 val request_of_line : string -> (request, string) result
 val request_to_line : request -> string
-
-val response_to_json : response -> Mfb_util.Json.t
-val response_of_json : Mfb_util.Json.t -> (response, string) result
 
 val response_to_line : response -> string
 val response_of_line : string -> (response, string) result

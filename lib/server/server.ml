@@ -954,7 +954,6 @@ let handle_repair t ~id ~target ~defects =
          rejected ~job "target shed" ("target was shed: " ^ reason)
        | None -> rejected ~job "target pending" "target has no result yet"
        | Some (Done _) ->
-         Hashtbl.replace t.ids id ();
          let full, warm = full_result_of t job in
          let plan =
            List.map
@@ -993,6 +992,9 @@ let handle_repair t ~id ~target ~defects =
                rejected ~job "illegal repair"
                  ("repair produced an illegal result: " ^ err)
              | [] ->
+               (* only an answered repair uses up its id, as only an
+                  admitted submit does *)
+               Hashtbl.replace t.ids id ();
                t.repairs <- t.repairs + 1;
                if warm then t.repairs_warm <- t.repairs_warm + 1;
                Histogram.add t.h_repair

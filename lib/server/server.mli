@@ -48,8 +48,9 @@
     [max 16 cache_capacity] entries; a later batch job within edit
     distance 8 of a candidate is {e warm-started} ({!Mfb_repair.Warm.synthesize}): cached
     placement reused, intact routes replayed, invalidated transports
-    re-routed through the repair ladder, with a legality and
-    {!warm_delta} quality proof obligation and cold fallback.  Such a request finishes with outcome ["near-hit"]
+    re-routed through the repair ladder, with a legality and quality
+    proof obligation (a warm makespan at most 1.25 x the cold lower
+    bound) and cold fallback.  Such a request finishes with outcome ["near-hit"]
     instead of ["done"]; stats gain a ["near"] section and Prometheus
     the [dcsa_near_hits_total] / [dcsa_warm_fallbacks_total] counters
     and [dcsa_warm_latency] histogram, all absent until the first
@@ -104,8 +105,8 @@ type series = {
   value : value;
 }
 (** One stats series.  The server lists its own rows once, in
-    stats-JSON order, then any [extra_series] rows.  {!stats_json}
-    nests the rows by path, {!prometheus_stats} renders the named rows
+    stats-JSON order, then any [extra_series] rows.  A [stats] request
+    nests the rows by path, a [stats_prom] request renders the named rows
     with one [# HELP]/[# TYPE] preamble per name, and the [shutdown]
     totals read counter rows back by path.  Rows sharing a name are the
     label permutations of one metric. *)
@@ -129,8 +130,8 @@ type config = {
           payload is deterministic (identical across [jobs] values,
           transports, and fleet-vs-in-process) but generally differs
           from the cold payload — enabling similarity is a quality
-          contract ({!warm_delta}), not byte-transparent like the exact
-          cache, which is why it defaults to off. *)
+          contract (the 1.25 x makespan gate), not byte-transparent like
+          the exact cache, which is why it defaults to off. *)
   flow_config : Mfb_core.Config.t;
       (** base synthesis parameters; [submit] overrides apply on top *)
   dispatch : (job list -> dispatch_result list) option;
@@ -160,11 +161,6 @@ type config = {
       (** latency (in clock units) at or above which the access-log
           record additionally embeds the request's full span tree. *)
 }
-
-val warm_delta : float
-(** The warm-start quality gate, [0.25]: a warm result whose makespan
-    exceeds [(1 + warm_delta)] x the cold lower bound is discarded and
-    the job re-synthesized cold (counted as a fallback). *)
 
 val default_config : config
 (** [jobs = 1], 128 cache entries, queue depth 64, batch 8, 8 retained
@@ -215,16 +211,6 @@ val handle_line : t -> string -> string option
 
 val shutting_down : t -> bool
 (** True once a [shutdown] request has been handled. *)
-
-val stats_json : t -> Mfb_util.Json.t
-(** Tick count, submissions, computations, cache hit/miss/eviction,
-    queue occupancy, shed/rejection counters, rolling latency and
-    queue-wait histogram snapshots, and the server config. *)
-
-val prometheus_stats : t -> string
-(** Prometheus text exposition of the same series in the same order,
-    histograms as full bucket series (and any named [extra_series]
-    rows).  Answers {!Protocol.Stats_prom}. *)
 
 val current_tick : t -> int
 (** The virtual batch clock — one tick elapses per dispatched batch.

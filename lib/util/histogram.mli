@@ -26,26 +26,17 @@ val add : t -> float -> unit
 val count : t -> int
 val sum : t -> float
 
-val min_value : t -> float
-(** Exact smallest observation; [0.] when empty. *)
-
 val max_value : t -> float
 (** Exact largest observation; [0.] when empty. *)
 
-val quantile : t -> float -> float
-(** [quantile t q] for [q] in [0,1]: the upper bound of the bucket
-    holding the rank-[ceil (q * count)] observation (rank at least 1),
-    i.e. an estimate [u] with [x <= u <= x * gamma^2] for the exact
-    quantile [x > 0].  [0.] when the histogram is empty or the rank
-    falls in the zero bucket. *)
-
-val bucket_index : float -> int
-(** The clamped bucket index a positive value lands in (exposed for
-    the property tests); non-positive values map to [min_int]. *)
-
 val snapshot_json : t -> Json.t
 (** Compact deterministic snapshot:
-    [{count; sum; min; max; p50; p95; p99}]. *)
+    [{count; sum; min; max; p50; p95; p99}], [min] and [max] exact
+    ([0.] when empty).  A quantile [pq] is the upper bound of the
+    bucket holding the rank-[ceil (q * count)] observation (rank at
+    least 1), i.e. an estimate [u] with [x <= u <= x * gamma^2] for
+    the exact quantile [x > 0]; [0.] when the histogram is empty or
+    the rank falls in the zero bucket. *)
 
 val prometheus :
   ?help:string ->

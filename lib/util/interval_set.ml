@@ -19,17 +19,15 @@ let add iv s =
     insert s
   end
 
-let first_conflict iv s =
+(* The list is sorted by start, so the scan stops at the first stored
+   interval that starts at or after [iv]'s end. *)
+let overlaps iv s =
   let rec loop = function
-    | [] -> None
+    | [] -> false
     | x :: rest ->
-      if Interval.lo x >= Interval.hi iv then None
-      else if Interval.overlaps iv x then Some x
-      else loop rest
+      Interval.lo x < Interval.hi iv && (Interval.overlaps iv x || loop rest)
   in
   loop s
-
-let overlaps iv s = first_conflict iv s <> None
 
 let free_from t ~duration s =
   if duration < 0. then invalid_arg "Interval_set.free_from: negative duration";

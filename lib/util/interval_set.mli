@@ -17,10 +17,6 @@ val add : Interval.t -> t -> t
 val overlaps : Interval.t -> t -> bool
 (** [overlaps iv s] is true when some stored interval overlaps [iv]. *)
 
-val first_conflict : Interval.t -> t -> Interval.t option
-(** [first_conflict iv s] is the earliest stored interval overlapping
-    [iv], if any. *)
-
 val free_from : float -> duration:float -> t -> float
 (** [free_from t ~duration s] is the earliest [t' >= t] such that
     [\[t', t' + duration)] overlaps nothing in [s]. *)

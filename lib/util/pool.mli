@@ -53,6 +53,3 @@ val map : ?label:string -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] preserves the order of [xs] regardless of [jobs].
     Exceptions raised by [f] propagate; when several tasks fail, the one
     closest to the head of [xs] wins, whatever domain it ran on. *)
-
-val map_array : ?label:string -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Array counterpart of {!map}. *)

@@ -5,15 +5,6 @@ val sum : float list -> float
 val mean : float list -> float
 (** Mean of a non-empty list; [0.] on the empty list. *)
 
-val geomean : float list -> float
-(** Geometric mean of positive values; [0.] on the empty list. *)
-
-val minimum : float list -> float
-(** @raise Invalid_argument on the empty list. *)
-
-val maximum : float list -> float
-(** @raise Invalid_argument on the empty list. *)
-
 val percent_improvement : ours:float -> baseline:float -> float
 (** [(baseline - ours) / baseline * 100]; [0.] when [baseline = 0]. *)
 

@@ -277,26 +277,6 @@ let test_ivd_structure () =
     (List.length (Seq_graph.sources g));
   Alcotest.(check int) "6 sinks" 6 (List.length (Seq_graph.sinks g))
 
-let test_serial_dilution () =
-  let g = Benchmarks.serial_dilution ~levels:5 () in
-  Alcotest.(check int) "2n ops" 10 (Seq_graph.n_ops g);
-  let counts = Seq_graph.kind_counts g in
-  Alcotest.(check int) "mixes" 5 counts.(0);
-  Alcotest.(check int) "detects" 5 counts.(3);
-  (* Every dilution level fans out to exactly its detection plus (except
-     the last) the next level. *)
-  Alcotest.(check int) "chain + reads edges" 9 (Seq_graph.n_edges g);
-  (* The whole ladder consumes its chain in place under DCSA. *)
-  let sched =
-    Mfb_schedule.Engine.run ~case1:true ~tc:2.0 g
-      (Mfb_component.Allocation.of_vector (2, 0, 0, 1))
-  in
-  Alcotest.(check bool) "legal" true
-    (Mfb_schedule.Check.validate ~tc:2.0 sched = []);
-  Alcotest.check_raises "levels validated"
-    (Invalid_argument "Benchmarks.serial_dilution: levels < 1") (fun () ->
-      ignore (Benchmarks.serial_dilution ~levels:0 ()))
-
 (* --- Synthetic --- *)
 
 let test_synthetic_sizes () =
@@ -474,41 +454,25 @@ let prop_assay_roundtrip =
 
 module Volume = Mfb_bioassay.Volume
 
-(* Chamber units [op] produces: one for a sink, else what its out-edges
-   carry. *)
-let production g v op =
-  match Seq_graph.children g op with
-  | [] -> 1.0
-  | children ->
-    List.fold_left
-      (fun acc child -> acc +. Volume.edge_volume v (op, child))
-      0. children
-
 let test_volume_chain () =
-  (* Single chain: every edge carries exactly one chamber. *)
+  (* Single chain: one chamber reaches the sink, all of it dispensed
+     into the source. *)
   let g =
     Seq_graph.create ~name:"chain" ~ops:(mk_ops 3)
       ~edges:[ (0, 1); (1, 2) ]
   in
-  let v = Volume.analyse g in
-  Alcotest.(check (float 1e-9)) "edge 0-1" 1.0 (Volume.edge_volume v (0, 1));
-  Alcotest.(check (float 1e-9)) "source input" 1.0 (Volume.external_input v 0);
-  Alcotest.(check (float 1e-9)) "no fresh input mid-chain" 0.
-    (Volume.external_input v 1);
-  Alcotest.(check (float 1e-9)) "total reagent" 1.0 (Volume.total_reagent v)
+  Alcotest.(check (float 1e-9)) "total reagent" 1.0
+    (Volume.total_reagent (Volume.analyse g))
 
 let test_volume_mixer_split () =
-  (* A two-input mix delivering one chamber draws half from each parent. *)
+  (* A two-input mix delivering one chamber draws half from each
+     parent, so the two sources take one chamber between them. *)
   let g =
     Seq_graph.create ~name:"mix2" ~ops:(mk_ops 3)
       ~edges:[ (0, 2); (1, 2) ]
   in
-  let v = Volume.analyse g in
-  Alcotest.(check (float 1e-9)) "half" 0.5 (Volume.edge_volume v (0, 2));
-  Alcotest.(check (float 1e-9)) "sources produce half each" 0.5
-    (production g v 0);
   Alcotest.(check (float 1e-9)) "reagent is one chamber" 1.0
-    (Volume.total_reagent v)
+    (Volume.total_reagent (Volume.analyse g))
 
 let test_volume_fanout_batches () =
   (* One source feeding three sinks must produce three chambers. *)
@@ -516,25 +480,16 @@ let test_volume_fanout_batches () =
     Seq_graph.create ~name:"fan" ~ops:(mk_ops 4)
       ~edges:[ (0, 1); (0, 2); (0, 3) ]
   in
-  let v = Volume.analyse g in
-  Alcotest.(check (float 1e-9)) "production 3" 3.0 (production g v 0);
   Alcotest.(check (float 1e-9)) "three chambers of reagent" 3.0
-    (Volume.external_input v 0);
-  Alcotest.(check (float 1e-9)) "one chamber per sink" 1.0
-    (Volume.edge_volume v (0, 1))
+    (Volume.total_reagent (Volume.analyse g))
 
 let test_volume_pcr_tree () =
-  (* PCR's balanced binary tree: leaves contribute 1/4 chamber each... the
-     root delivers 1, its two children 1/2, the four leaves 1/4 via their
-     half-split — total reagent equals the delivered volume. *)
+  (* PCR's balanced binary tree delivers one chamber at the root, split
+     in halves down to the leaves: the four leaves take a quarter each,
+     and total reagent equals the delivered volume. *)
   let g = Benchmarks.pcr () in
-  let v = Volume.analyse g in
-  Alcotest.(check (float 1e-9)) "root receives one" 1.0
-    (List.fold_left
-       (fun acc p -> acc +. Volume.edge_volume v (p, 6))
-       0. (Seq_graph.parents g 6));
-  Alcotest.(check (float 1e-9)) "leaf quarter" 0.25 (production g v 0);
-  Alcotest.(check (float 1e-9)) "conservation" 1.0 (Volume.total_reagent v)
+  Alcotest.(check (float 1e-9)) "conservation" 1.0
+    (Volume.total_reagent (Volume.analyse g))
 
 let prop_volume_conservation =
   qtest ~count:60 "reagent in = chambers delivered at the sinks"
@@ -543,15 +498,6 @@ let prop_volume_conservation =
       let v = Volume.analyse g in
       let delivered = float_of_int (List.length (Seq_graph.sinks g)) in
       Float.abs (Volume.total_reagent v -. delivered) < 1e-6)
-
-let prop_volume_positive =
-  qtest ~count:60 "every operation produces a positive volume"
-    synthetic_gen
-    (fun g ->
-      let v = Volume.analyse g in
-      List.for_all
-        (fun op -> production g v op > 0.)
-        (List.init (Seq_graph.n_ops g) Fun.id))
 
 let suites =
   [
@@ -596,7 +542,6 @@ let suites =
         Alcotest.test_case "pcr structure" `Quick test_pcr_structure;
         Alcotest.test_case "cpa structure" `Quick test_cpa_structure;
         Alcotest.test_case "ivd structure" `Quick test_ivd_structure;
-        Alcotest.test_case "serial dilution" `Quick test_serial_dilution;
       ] );
     ( "bioassay.synthetic",
       [
@@ -616,7 +561,6 @@ let suites =
         Alcotest.test_case "fan-out batches" `Quick test_volume_fanout_batches;
         Alcotest.test_case "pcr tree" `Quick test_volume_pcr_tree;
         prop_volume_conservation;
-        prop_volume_positive;
       ] );
     ( "bioassay.assay_file",
       [

@@ -510,7 +510,7 @@ let test_cluster_stats_json_shape () =
           { Server.default_config with
             extra_series = Some (fun () -> Cluster.series cluster) }
       in
-      match Json.member "cluster" (Server.stats_json server) with
+      match Json.member "cluster" (Testkit.stats server) with
       | Some (Json.Obj fields) ->
         List.iter
           (fun k ->

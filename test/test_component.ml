@@ -14,14 +14,14 @@ let test_component_make () =
       ignore (Component.make ~id:(-1) ~kind:Mix))
 
 let test_component_footprints () =
-  Alcotest.(check (pair int int)) "mixer" (3, 3)
-    (Component.default_footprint Mix);
-  Alcotest.(check (pair int int)) "heater" (2, 2)
-    (Component.default_footprint Heat);
-  Alcotest.(check (pair int int)) "filter" (2, 2)
-    (Component.default_footprint Filter);
-  Alcotest.(check (pair int int)) "detector" (2, 2)
-    (Component.default_footprint Detect)
+  let footprint kind =
+    let c = Component.make ~id:0 ~kind in
+    (c.width, c.height)
+  in
+  Alcotest.(check (pair int int)) "mixer" (3, 3) (footprint Mix);
+  Alcotest.(check (pair int int)) "heater" (2, 2) (footprint Heat);
+  Alcotest.(check (pair int int)) "filter" (2, 2) (footprint Filter);
+  Alcotest.(check (pair int int)) "detector" (2, 2) (footprint Detect)
 
 let test_component_qualified () =
   let mixer = Component.make ~id:0 ~kind:Mix in

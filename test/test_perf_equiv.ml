@@ -626,7 +626,9 @@ let uncut_cheapest grid ~tc (tr : Mfb_schedule.Types.transport) =
     List.fold_left
       (fun best d ->
         match
-          Router.attempt ~is_defect:(fun _ -> false) grid kind tr ~delay:d
+          Astar.search_multi grid ~srcs ~dsts
+            ~usable:(Routed.usable grid tr ~delay:d ~src_ports:srcs)
+            ~use_weights:true
         with
         | None -> best
         | Some path ->

@@ -9,7 +9,6 @@ module Config = Mfb_core.Config
 module Suite = Mfb_core.Suite
 module Check = Mfb_schedule.Check
 module Routed = Mfb_route.Routed
-module Repair = Mfb_route.Repair
 module Telemetry = Mfb_util.Telemetry
 module Json = Mfb_util.Json
 
@@ -95,6 +94,28 @@ let test_generators_deterministic () =
       | Error e, _ | _, Error e -> Alcotest.fail e)
     [ 0; 1; 7 ]
 
+let test_cells_row_major () =
+  (* The shared channel-cell enumeration is row-major and contains
+     exactly the unblocked cells. *)
+  let r = Lazy.force pcr in
+  let cells = Defect.cells r.chip in
+  let sorted =
+    List.sort (fun (x1, y1) (x2, y2) -> compare (y1, x1) (y2, x2)) cells
+  in
+  Alcotest.(check bool) "row-major order" true (cells = sorted);
+  List.iter
+    (fun cell ->
+      Alcotest.(check bool) "channel cells are unblocked" false
+        (Mfb_route.Rgrid.blocked r.routing.grid cell))
+    cells;
+  let expected =
+    (r.chip.width * r.chip.height)
+    - List.length
+        (List.sort_uniq compare (Mfb_place.Chip.blocked_cells r.chip))
+  in
+  Alcotest.(check int) "covers every channel cell" expected
+    (List.length cells)
+
 (* --- The repair ladder ------------------------------------------------ *)
 
 let test_unused_cell_noop () =
@@ -102,7 +123,7 @@ let test_unused_cell_noop () =
   let used = Mfb_route.Rgrid.used_cells r.routing.grid in
   let free =
     match
-      List.find_opt (fun c -> not (List.mem c used)) (Repair.cells r.chip)
+      List.find_opt (fun c -> not (List.mem c used)) (Defect.cells r.chip)
     with
     | Some c -> c
     | None -> Alcotest.fail "no free channel cell"
@@ -190,10 +211,68 @@ let test_footprint_cell_lifts_to_component () =
   let o = Plan.repair ~config:cfg r ~defects:[ Defect.Cell cell ] in
   match o.report.targets with
   | [ Defect.Component c ] ->
-    (match Repair.owner r.chip cell with
+    (match Defect.owner r.chip cell with
      | Some owner -> Alcotest.(check int) "lifted to owner" owner c
      | None -> Alcotest.fail "blocked cell without owner")
   | _ -> Alcotest.fail "footprint cell not lifted to a component fault"
+
+let test_last_task_path_defect () =
+  (* A defect on the committed path of the last routed task must rip
+     that task up: repair sees every committed path, including the
+     final one (an off-by-one here would silently pass defects through
+     the tail of the routing order). *)
+  let r = Lazy.force pcr in
+  match List.rev r.routing.tasks with
+  | [] -> Alcotest.fail "instance routed no tasks"
+  | (last : Routed.task) :: _ ->
+    let defect = List.nth last.path (List.length last.path / 2) in
+    let o = Plan.repair ~config:cfg r ~defects:[ Defect.Cell defect ] in
+    Alcotest.(check bool) "defect recorded" true
+      (o.report.targets = [ Defect.Cell defect ]);
+    Alcotest.(check bool) "last task is ripped up" true
+      (o.report.ripped_up >= 1)
+
+let test_yield_bounds () =
+  List.iter
+    (fun r ->
+      let y = Plan.single_defect_yield ~config:cfg (Lazy.force r) in
+      Alcotest.(check bool) "yield in [0,1]" true
+        (0. <= y.yield && y.yield <= 1.);
+      Alcotest.(check bool) "survived <= tested" true
+        (y.survived <= y.cells_tested);
+      match y.worst with
+      | Some (cell, report) ->
+        Alcotest.(check bool) "worst cell is the target" true
+          (report.targets = [ Defect.Cell cell ]);
+        Alcotest.(check bool) "worst really failed" false
+          (report.survived
+          && (report.rung = None || report.rung = Some Plan.Rerouted))
+      | None ->
+        Alcotest.(check int) "perfect yield" y.cells_tested y.survived)
+    [ pcr; ivd ]
+
+(* The exact single-defect yield of each Table I design under the
+   paper's parameters: (survived, cells tested) in suite order. *)
+let yields variant =
+  List.map
+    (fun (inst : Suite.instance) ->
+      let config = Config.default in
+      let r = Flow.run ~config ~variant inst.graph inst.allocation in
+      let y = Plan.single_defect_yield ~config r in
+      (y.survived, y.cells_tested))
+    (Suite.all ())
+
+(* The paper flow's yields, as EXPERIMENTS.md quotes them. *)
+let test_yield_pinned () =
+  Alcotest.(check (list (pair int int))) "survived, cells tested"
+    [ (7, 7); (6, 6); (50, 52); (19, 31); (56, 76); (45, 103); (100, 179) ]
+    (yields `Ours)
+
+(* The BA designs' yields, the same figure on a second design family. *)
+let test_ba_yield_pinned () =
+  Alcotest.(check (list (pair int int))) "survived, cells tested"
+    [ (2, 2); (6, 6); (89, 127); (29, 56); (42, 93); (61, 150); (44, 126) ]
+    (yields `Ba)
 
 (* Every seeded defect class on every Table I design under the paper's
    parameters: each component dead, each used channel cell dead, 20
@@ -334,6 +413,7 @@ let suites =
         Alcotest.test_case "plan JSON roundtrip" `Quick test_plan_roundtrip;
         Alcotest.test_case "generators deterministic" `Quick
           test_generators_deterministic;
+        Alcotest.test_case "cells is row-major" `Quick test_cells_row_major;
       ] );
     ( "repair.plan",
       [
@@ -347,6 +427,11 @@ let suites =
           test_component_fault_rebinds;
         Alcotest.test_case "footprint cell lifts to component fault" `Quick
           test_footprint_cell_lifts_to_component;
+        Alcotest.test_case "last task's path is repairable" `Quick
+          test_last_task_path_defect;
+        Alcotest.test_case "yield bounds" `Quick test_yield_bounds;
+        Alcotest.test_case "yield pinned" `Quick test_yield_pinned;
+        Alcotest.test_case "BA yield pinned" `Quick test_ba_yield_pinned;
         Alcotest.test_case "Table I sweep legal" `Quick
           test_table1_sweep_legal;
         repair_oracle;

@@ -548,8 +548,8 @@ let test_router_paths_connect_ports () =
 let test_router_channel_length () =
   let _, _, result = routed_instance 2 in
   let distinct = List.length (Rgrid.used_cells result.grid) in
-  Alcotest.(check (float 1e-9)) "distinct cells x pitch"
-    (float_of_int distinct *. Routed.pitch_mm)
+  Alcotest.(check (float 1e-9)) "distinct cells x 10 mm pitch"
+    (float_of_int distinct *. 10.)
     result.total_channel_length_mm
 
 let test_router_weight_update_effect () =
@@ -593,22 +593,18 @@ let io_instance index =
    Router.route ~route_io:true ~we ~tc placed.chip sched)
 
 let test_io_templates_cover_sources_and_sinks () =
-  let g, alloc = List.nth (Testkit.suite_instances ()) 2 (* CPA *) in
-  let sched = Mfb_schedule.Engine.run ~case1:true ~tc g alloc in
-  let temps = Mfb_route.Io_router.templates ~tc sched in
-  let dispense =
+  let sched, _, result = io_instance 2 (* CPA *) in
+  let g = sched.Types.graph in
+  let count kind =
     List.length
-      (List.filter (fun (_, k) -> k = Routed.Dispense) temps)
-  in
-  let waste =
-    List.length (List.filter (fun (_, k) -> k = Routed.Waste) temps)
+      (List.filter (fun (t : Routed.task) -> t.kind = kind) result.tasks)
   in
   Alcotest.(check int) "one dispense per source"
     (List.length (Mfb_bioassay.Seq_graph.sources g))
-    dispense;
+    (count Routed.Dispense);
   Alcotest.(check int) "one waste per sink"
     (List.length (Mfb_bioassay.Seq_graph.sinks g))
-    waste
+    (count Routed.Waste)
 
 let test_io_routing_adds_tasks_and_stays_clean () =
   List.iter
@@ -653,13 +649,12 @@ let test_hydraulics_calibration () =
   let h = Mfb_route.Hydraulics.analyse ~tc result in
   List.iter
     (fun (t : Mfb_route.Hydraulics.task_check) ->
-      (* Physical time scales linearly with cells; at the reference length
-         the error is exactly zero. *)
+      (* Physical time scales linearly with cells; at the 8-cell
+         reference length the error is exactly zero. *)
       Alcotest.(check (float 1e-9)) "linear model"
-        (tc *. float_of_int t.cells
-        /. float_of_int Mfb_route.Hydraulics.reference_cells)
+        (tc *. float_of_int t.cells /. 8.)
         t.physical_time;
-      if t.cells = Mfb_route.Hydraulics.reference_cells then
+      if t.cells = 8 then
         Alcotest.(check (float 1e-9)) "zero at reference" 0. t.relative_error)
     h.tasks;
   Alcotest.(check bool) "margin at least 1" true (h.pressure_margin >= 1.);
@@ -676,169 +671,6 @@ let test_hydraulics_ignores_io () =
   Alcotest.(check int) "inter-component transports only"
     (List.length transports)
     (List.length h.tasks)
-
-(* --- Defect repair --- *)
-
-let channel_outcome = function
-  | Mfb_route.Repair.Channel o -> o
-  | Mfb_route.Repair.Component_fault _ ->
-    Alcotest.fail "expected a channel defect, got a component fault"
-
-let test_repair_unused_cell_is_free () =
-  let sched, chip, result = routed_instance 0 in
-  let grid = result.grid in
-  let used = Mfb_route.Rgrid.used_cells grid in
-  let free =
-    let rec scan x y =
-      if y >= chip.Chip.height then Alcotest.fail "no free cell"
-      else if x >= chip.Chip.width then scan 0 (y + 1)
-      else if
-        (not (Mfb_route.Rgrid.blocked grid (x, y)))
-        && not (List.mem (x, y) used)
-      then (x, y)
-      else scan (x + 1) y
-    in
-    scan 0 0
-  in
-  let outcome =
-    channel_outcome
-      (Mfb_route.Repair.inject ~we ~tc chip sched result ~defect:free)
-  in
-  Alcotest.(check int) "nothing affected" 0 outcome.affected;
-  Alcotest.(check bool) "survives" true outcome.survived
-
-let test_repair_component_cell_is_component_fault () =
-  (* A defect on a component footprint is valid field data — a dead
-     component, not a channel fault — and must come back as a structured
-     [Component_fault] naming the owner, never as an exception. *)
-  let sched, chip, result = routed_instance 0 in
-  let blocked_cell = List.hd (Chip.blocked_cells chip) in
-  (match
-     Mfb_route.Repair.inject ~we ~tc chip sched result ~defect:blocked_cell
-   with
-   | Mfb_route.Repair.Component_fault { component } ->
-     (match Mfb_route.Repair.owner chip blocked_cell with
-      | Some c -> Alcotest.(check int) "fault names the owner" c component
-      | None -> Alcotest.fail "blocked cell has no owning component")
-   | Mfb_route.Repair.Channel _ ->
-     Alcotest.fail "footprint defect reported as a channel defect")
-
-let test_repair_cells_row_major () =
-  (* The shared channel-cell enumeration is row-major and contains
-     exactly the unblocked cells. *)
-  let _, chip, result = routed_instance 0 in
-  let cells = Mfb_route.Repair.cells chip in
-  let sorted =
-    List.sort
-      (fun (x1, y1) (x2, y2) ->
-        let c = compare y1 y2 in
-        if c <> 0 then c else compare x1 x2)
-      cells
-  in
-  Alcotest.(check bool) "row-major order" true (cells = sorted);
-  List.iter
-    (fun cell ->
-      Alcotest.(check bool) "channel cells are unblocked" false
-        (Mfb_route.Rgrid.blocked result.grid cell))
-    cells;
-  let expected =
-    chip.Chip.width * chip.Chip.height
-    - List.length
-        (List.sort_uniq compare (Chip.blocked_cells chip))
-  in
-  Alcotest.(check int) "covers every channel cell" expected
-    (List.length cells)
-
-let test_repair_last_task_path_defect () =
-  (* A defect on the committed path of the last routed task must count
-     that task as affected: repair sees every committed path, including
-     the final one (an off-by-one here would silently pass defects
-     through the tail of the routing order). *)
-  let sched, chip, result = routed_instance 0 in
-  (match List.rev result.tasks with
-   | [] -> Alcotest.fail "instance routed no tasks"
-   | (last : Routed.task) :: _ ->
-     let defect = List.nth last.path (List.length last.path / 2) in
-     let outcome =
-       channel_outcome
-         (Mfb_route.Repair.inject ~we ~tc chip sched result ~defect)
-     in
-     Alcotest.(check bool) "defect recorded" true (outcome.defect = defect);
-     Alcotest.(check bool) "last task is affected" true
-       (outcome.affected >= 1);
-     Alcotest.(check bool) "repaired bounded by affected" true
-       (outcome.repaired <= outcome.affected))
-
-let test_repair_unoccupied_cell_is_noop () =
-  (* A defect on a routable cell no occupation ever touches is a pure
-     no-op: nothing affected, nothing repaired, design survives. *)
-  let sched, chip, result = routed_instance 0 in
-  let grid = result.grid in
-  let used = Mfb_route.Rgrid.used_cells grid in
-  let on_some_path (x, y) =
-    List.exists
-      (fun (t : Routed.task) -> List.mem (x, y) t.path)
-      result.tasks
-  in
-  let free =
-    let rec scan x y =
-      if y >= chip.Chip.height then Alcotest.fail "no unoccupied cell"
-      else if x >= chip.Chip.width then scan 0 (y + 1)
-      else if
-        (not (Mfb_route.Rgrid.blocked grid (x, y)))
-        && (not (List.mem (x, y) used))
-        && not (on_some_path (x, y))
-      then (x, y)
-      else scan (x + 1) y
-    in
-    scan 0 0
-  in
-  let outcome =
-    channel_outcome
-      (Mfb_route.Repair.inject ~we ~tc chip sched result ~defect:free)
-  in
-  Alcotest.(check int) "affected" 0 outcome.affected;
-  Alcotest.(check int) "repaired" 0 outcome.repaired;
-  Alcotest.(check bool) "survived" true outcome.survived
-
-let test_repair_yield_bounds () =
-  List.iter
-    (fun index ->
-      let sched, chip, result = routed_instance index in
-      let y =
-        Mfb_route.Repair.single_defect_yield ~we ~tc chip sched result
-      in
-      Alcotest.(check bool) "yield in [0,1]" true
-        (0. <= y.yield && y.yield <= 1.);
-      Alcotest.(check bool) "survived <= tested" true
-        (y.survived <= y.cells_tested);
-      (match y.worst with
-       | Some o ->
-         Alcotest.(check bool) "worst really failed" false o.survived;
-         Alcotest.(check bool) "worst repaired < affected" true
-           (o.repaired < o.affected)
-       | None ->
-         Alcotest.(check int) "perfect yield" y.cells_tested y.survived))
-    [ 0; 1 ]
-
-(* The exact single-defect yield of each Table I paper-flow design, as
-   EXPERIMENTS.md quotes it: (survived, cells tested) in suite order. *)
-let test_repair_yield_pinned () =
-  let cfg = Mfb_core.Config.default in
-  let yields =
-    List.map
-      (fun (inst : Mfb_core.Suite.instance) ->
-        let r = Mfb_core.Flow.run ~config:cfg inst.graph inst.allocation in
-        let y =
-          Mfb_route.Repair.single_defect_yield ~we:cfg.we ~tc:cfg.tc r.chip
-            r.schedule r.routing
-        in
-        (y.survived, y.cells_tested))
-      (Mfb_core.Suite.all ())
-  in
-  Alcotest.(check (list (pair int int))) "survived, cells tested"
-    [ (7, 7); (6, 6); (50, 52); (19, 31); (56, 76); (45, 103); (100, 179) ]
-    yields
 
 (* --- Determinism of the full routing stage --- *)
 
@@ -1108,21 +940,6 @@ let suites =
       [
         Alcotest.test_case "calibration" `Quick test_hydraulics_calibration;
         Alcotest.test_case "ignores io" `Quick test_hydraulics_ignores_io;
-      ] );
-    ( "route.repair",
-      [
-        Alcotest.test_case "unused cell free" `Quick
-          test_repair_unused_cell_is_free;
-        Alcotest.test_case "component cell is a component fault" `Quick
-          test_repair_component_cell_is_component_fault;
-        Alcotest.test_case "cells is row-major" `Quick
-          test_repair_cells_row_major;
-        Alcotest.test_case "last task's path is repairable" `Quick
-          test_repair_last_task_path_defect;
-        Alcotest.test_case "unoccupied cell is a no-op" `Quick
-          test_repair_unoccupied_cell_is_noop;
-        Alcotest.test_case "yield bounds" `Quick test_repair_yield_bounds;
-        Alcotest.test_case "yield pinned" `Quick test_repair_yield_pinned;
       ] );
     ( "route.negotiated",
       [

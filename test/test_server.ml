@@ -111,11 +111,7 @@ let test_key_textual_invariance () =
     (Cache_key.equal base (key_of messy_assay));
   Alcotest.(check bool)
     "op-id relabelling" true
-    (Cache_key.equal base (key_of relabelled_assay));
-  Alcotest.(check bool)
-    "fingerprints agree" true
-    (Cache_key.graph_fingerprint (parse_assay base_assay)
-    = Cache_key.graph_fingerprint (parse_assay relabelled_assay))
+    (Cache_key.equal base (key_of relabelled_assay))
 
 let test_key_content_sensitivity () =
   let base = key_of base_assay in
@@ -127,11 +123,7 @@ let test_key_content_sensitivity () =
   differs "graph structure" (key_of structure_assay);
   differs "flow" (key_of ~flow:"ba" base_assay);
   differs "allocation"
-    (key_of ~allocation:(Allocation.of_vector (2, 1, 0, 1)) base_assay);
-  Alcotest.(check bool)
-    "structure fingerprint differs" false
-    (Cache_key.graph_fingerprint (parse_assay base_assay)
-    = Cache_key.graph_fingerprint (parse_assay structure_assay))
+    (key_of ~allocation:(Allocation.of_vector (2, 1, 0, 1)) base_assay)
 
 let test_key_config_sensitivity () =
   let base = key_of base_assay in
@@ -778,7 +770,7 @@ let test_duplicate_id_keeps_original_record () =
      the whole epoch *)
   let s = Server.create { Server.default_config with clock = `Wall } in
   List.iter (fun line -> ignore (Server.handle_line s line)) dup;
-  let stats = Server.stats_json s in
+  let stats = Testkit.stats s in
   Alcotest.(check int) "one latency" 1
     (Testkit.stat_int stats [ "latency"; "count" ]);
   Alcotest.(check bool) "latency below a minute" true
@@ -948,7 +940,7 @@ let test_latency_histogram_tracks_requests () =
   ignore (Testkit.call_exn s (P.Result "a"));
   ignore (Testkit.call_exn s (submit ~id:"b" pcr));
   ignore (Testkit.call_exn s (P.Result "b"));
-  let stats = Server.stats_json s in
+  let stats = Testkit.stats s in
   let latency k = Testkit.stat_float stats [ "latency"; k ] in
   Alcotest.(check int) "two latencies" 2
     (Testkit.stat_int stats [ "latency"; "count" ]);
@@ -973,7 +965,7 @@ let test_batch_duplicate_counts_once () =
   let b = payload "b" in
   Alcotest.(check string) "duplicate answered with its key's run" (payload "a")
     b;
-  let stats = Server.stats_json s in
+  let stats = Testkit.stats s in
   Alcotest.(check (list int)) "submitted, computed, hits, misses" [ 2; 1; 0; 2 ]
     (List.map (Testkit.stat_int stats)
        [ [ "submitted" ]; [ "computed" ]; [ "cache"; "hits" ];
@@ -1007,7 +999,7 @@ let test_cache_hit_allocation () =
         -> ()
       | r -> Alcotest.failf "result: %s" (Option.value r ~default:"none"))
     results;
-  let stats = Server.stats_json s in
+  let stats = Testkit.stats s in
   Alcotest.(check (list int)) "computed, hits" [ 1; n ]
     (List.map (Testkit.stat_int stats) [ [ "computed" ]; [ "cache"; "hits" ] ]);
   if words > 8_000. then
@@ -1048,7 +1040,7 @@ let test_load_script () =
   let uncached, uncached_payloads = replay_load_script ~cache:0 in
   Alcotest.(check (list string)) "payloads identical at cache 128 and 0"
     uncached_payloads cached_payloads;
-  let stats = Server.stats_json cached in
+  let stats = Testkit.stats cached in
   let hits = Testkit.stat_int stats [ "cache"; "hits" ]
   and misses = Testkit.stat_int stats [ "cache"; "misses" ] in
   Alcotest.(check bool)
@@ -1057,14 +1049,14 @@ let test_load_script () =
     (float_of_int hits >= 0.8 *. float_of_int (hits + misses));
   List.iter
     (fun s ->
-      let stats = Server.stats_json s in
+      let stats = Testkit.stats s in
       let q p = Testkit.stat_float stats [ "latency"; p ] in
       Alcotest.(check int) "every request observed" 240
         (Testkit.stat_int stats [ "latency"; "count" ]);
       Alcotest.(check bool) "p50 <= p95 <= p99" true
         (q "p50" <= q "p95" && q "p95" <= q "p99"))
     [ cached; uncached ];
-  let computed s = Testkit.stat_int (Server.stats_json s) [ "computed" ] in
+  let computed s = Testkit.stat_int (Testkit.stats s) [ "computed" ] in
   Alcotest.(check bool)
     (Printf.sprintf "uncached computed %d >= 5 x cached %d" (computed uncached)
        (computed cached))
@@ -1193,13 +1185,13 @@ let test_server_repair_warm_cold_identical () =
   Alcotest.(check string) "report bytes independent of cache temperature"
     r_warm r_cold;
   (* the virtual clock prices the temperature: warm repairs cost 1 tick *)
-  let stats = Server.stats_json s in
+  let stats = Testkit.stats s in
   Alcotest.(check int) "one repair latency" 1
     (Testkit.stat_int stats [ "repair"; "latency"; "count" ]);
   Alcotest.(check (float 1e-9)) "warm latency is 1 tick" 1.0
     (Testkit.stat_float stats [ "repair"; "latency"; "max" ]);
   (* stats gained the repair section *)
-  match Server.stats_json s with
+  match Testkit.stats s with
   | Json.Obj fields ->
     (match List.assoc_opt "repair" fields with
      | Some (Json.Obj rf) ->
@@ -1209,7 +1201,7 @@ let test_server_repair_warm_cold_identical () =
          (List.assoc_opt "warm" rf = Some (Json.Int 1))
      | _ -> Alcotest.fail "stats lost the repair section");
     Alcotest.(check bool) "prometheus repair series" true
-      (contains ~sub:"dcsa_repair_latency" (Server.prometheus_stats s))
+      (contains ~sub:"dcsa_repair_latency" (prometheus_text s))
   | _ -> Alcotest.fail "stats is not an object"
 
 let test_server_repair_jobs_invariant () =
@@ -1269,11 +1261,18 @@ let test_server_repair_errors () =
        (contains ~sub:"999" reason)
    | r -> Alcotest.failf "invalid defect: %s" (P.response_to_line r));
   (* no repair succeeded, so the stats payload keeps its legacy shape *)
-  match Server.stats_json s with
-  | Json.Obj fields ->
-    Alcotest.(check bool) "no repair section" true
-      (List.assoc_opt "repair" fields = None)
-  | _ -> Alcotest.fail "stats is not an object"
+  (match Testkit.stats s with
+   | Json.Obj fields ->
+     Alcotest.(check bool) "no repair section" true
+       (List.assoc_opt "repair" fields = None)
+   | _ -> Alcotest.fail "stats is not an object");
+  (* a refused repair leaves its id free for the corrected retry *)
+  match
+    Testkit.call_exn s
+      (P.Repair { id = "p2"; target = "a"; defects = [ Defect.Cell (0, 0) ] })
+  with
+  | P.Repair_result { id = "p2"; _ } -> ()
+  | r -> Alcotest.failf "corrected retry: %s" (P.response_to_line r)
 
 (* --- determinism: cold jobs=1 ≡ warm ≡ jobs=2, enforced by qcheck --- *)
 

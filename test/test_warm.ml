@@ -338,7 +338,7 @@ let test_eviction_cold_recompute_path () =
   Alcotest.(check (pair int int)) "near-hit counted after eviction" (1, 0)
     (Server.near_hit_counts s2);
   let warm = [ "near"; "latency" ] in
-  let stats1 = Server.stats_json s1 and stats2 = Server.stats_json s2 in
+  let stats1 = Testkit.stats s1 and stats2 = Testkit.stats s2 in
   Alcotest.(check int) "one warm start (kept)" 1
     (Testkit.stat_int stats1 (warm @ [ "count" ]));
   Alcotest.(check int) "one warm start (evicted)" 1
@@ -402,6 +402,10 @@ let execution_time payload =
   | Ok (Some (Json.Int i)) -> float_of_int i
   | _ -> Float.nan
 
+(* The server's warm-start quality gate: a warm makespan at most 1.25 x
+   the cold lower bound (server.mli). *)
+let warm_delta = 0.25
+
 let test_edit_chain () =
   let warm, counts = replay_edit_chain ~similarity:true ~jobs:1 in
   let warm2, counts2 = replay_edit_chain ~similarity:true ~jobs:2 in
@@ -412,7 +416,7 @@ let test_edit_chain () =
   List.iteri
     (fun i (w, c) ->
       let w = execution_time w and c = execution_time c in
-      if not (w <= (c *. (1. +. Server.warm_delta)) +. 1e-9) then
+      if not (w <= (c *. (1. +. warm_delta)) +. 1e-9) then
         Alcotest.failf "request %d: warm %g s beyond (1 + delta) x cold %g s"
           i w c)
     (List.combine warm cold);

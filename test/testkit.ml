@@ -114,9 +114,15 @@ let call_exn server req =
     | Ok resp -> resp
     | Error e -> Alcotest.failf "unparsable response: %s" e)
 
+(* The server's stats object, as a [stats] request answers it. *)
+let stats server =
+  match Mfb_server.Server.handle server Mfb_server.Protocol.Stats with
+  | Mfb_server.Protocol.Stats_reply j -> j
+  | _ -> Alcotest.fail "stats request not answered with stats"
+
 (* The value at [path] in a stats object, such as
-   [[ "latency"; "count" ]] in [Server.stats_json]; [stat_int] and
-   [stat_float] read it as a number. *)
+   [[ "latency"; "count" ]] in {!stats}; [stat_int] and [stat_float]
+   read it as a number. *)
 let stat stats path =
   List.fold_left
     (fun j k -> Option.bind j (Mfb_util.Json.member k))
