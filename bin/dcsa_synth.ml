@@ -1164,6 +1164,7 @@ let serve_cmd =
 let repair_cmd =
   let module Defect = Mfb_repair.Defect in
   let module Plan = Mfb_repair.Plan in
+  let module Audit = Mfb_repair.Audit in
   let defect_arg =
     let doc = "Defective channel cell $(docv) (repeatable)." in
     Arg.(value & opt_all string [] & info [ "defect" ] ~doc ~docv:"X,Y")
@@ -1325,7 +1326,8 @@ let repair_cmd =
                    let o = Plan.repair ~config r ~defects:targets in
                    let audit =
                      if o.report.survived then
-                       Plan.verify ~config ~defects:targets o
+                       Audit.check ~config ~defects:targets o.schedule
+                         o.chip o.routing
                      else []
                    in
                    Ok (o, audit)

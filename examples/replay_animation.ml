@@ -12,18 +12,20 @@ let () =
        fluids entering from and leaving to the chip border. *)
     Mfb_core.Flow.run ~route_io:true inst.graph inst.allocation
   in
+  (* Independent end-to-end verification first: any violation fails the
+     walk-through. *)
+  (match
+     Mfb_repair.Audit.check ~config:Mfb_core.Config.default r.schedule r.chip
+       r.routing
+   with
+   | [] -> print_endline "audit: no violations\n"
+   | violations ->
+     List.iter (Printf.eprintf "VIOLATION %s\n") violations;
+     exit 1);
   let sim =
-    Mfb_sim.Replay.create ~tc:2.0 ~chip:r.chip ~schedule:r.schedule
-      ~routing:r.routing
+    Mfb_sim.Replay.create ~tc:Mfb_core.Config.default.tc ~chip:r.chip
+      ~schedule:r.schedule ~routing:r.routing
   in
-  (* Independent end-to-end verification first. *)
-  (match Mfb_sim.Replay.check sim with
-   | [] -> print_endline "replay check: no violations\n"
-   | v ->
-     List.iter
-       (fun (x : Mfb_sim.Replay.violation) ->
-         Printf.printf "VIOLATION t=%.2f: %s\n" x.time x.message)
-       v);
   print_string (Mfb_core.Gantt.render r.schedule);
   print_newline ();
   (* Animate at a handful of interesting instants: each event boundary

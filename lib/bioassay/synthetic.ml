@@ -89,15 +89,19 @@ let generate ~name p =
         primary_parent.(id) <- Some primary;
         edges := (primary, id) :: !edges;
         let extra = Mfb_util.Rng.int rng p.max_parents in
-        let rec add_extra k =
+        (* Edges into [id] are drawn only here, so its parents so far are
+           the ones to skip. *)
+        let rec add_extra parents k =
           if k > 0 then begin
             let candidate = Mfb_util.Rng.choose rng pool in
-            if candidate <> primary && not (List.mem (candidate, id) !edges)
-            then edges := (candidate, id) :: !edges;
-            add_extra (k - 1)
+            if List.mem candidate parents then add_extra parents (k - 1)
+            else begin
+              edges := (candidate, id) :: !edges;
+              add_extra (candidate :: parents) (k - 1)
+            end
           end
         in
-        add_extra extra)
+        add_extra [ primary ] extra)
       layer_array.(li)
   done;
   let kinds = Array.make p.n_ops Operation.Mix in

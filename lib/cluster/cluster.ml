@@ -87,7 +87,6 @@ let dispatch t jobs =
          })
 
 let stats t = t.dstats
-let respawns t = Supervisor.respawns t.sup
 
 (* The fleet's stats rows under ["cluster"]: JSON-only counters the
    Goodbye totals read back, a per-slot health table, and one

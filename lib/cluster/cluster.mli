@@ -53,7 +53,6 @@ val dispatch :
     the reply. *)
 
 val stats : t -> Dispatcher.stats
-val respawns : t -> int
 
 val series : t -> Mfb_server.Server.series list
 (** The fleet's stats rows, for the server's [extra_series]: under

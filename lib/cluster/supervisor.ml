@@ -48,7 +48,7 @@ let schedule_respawn t slot =
   t.slots.(slot) <- Due (t.tick_ + backoff_delay t slot)
 
 let try_spawn t slot =
-  match Worker_proc.spawn ~slot (t.argv_of slot) with
+  match Worker_proc.spawn (t.argv_of slot) with
   | w ->
     if t.spawned_once.(slot) then begin
       t.respawns_ <- t.respawns_ + 1;

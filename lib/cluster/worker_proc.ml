@@ -1,7 +1,6 @@
 module Frame = Mfb_net.Frame
 
 type t = {
-  slot_ : int;
   pid_ : int;
   to_worker : out_channel;
   from_worker : Unix.file_descr;
@@ -13,7 +12,7 @@ type t = {
 
 type read_result = Line of string | Oversized of int | Timeout | Eof
 
-let spawn ~slot argv =
+let spawn argv =
   if Array.length argv = 0 then invalid_arg "Worker_proc.spawn: empty argv";
   (* cloexec on every end: create_process dup2s the child ends onto the
      child's stdio (dup2 clears the flag), so the child sees plain
@@ -27,7 +26,6 @@ let spawn ~slot argv =
   Unix.close in_read;
   Unix.close out_write;
   {
-    slot_ = slot;
     pid_ = pid;
     to_worker = Unix.out_channel_of_descr in_write;
     from_worker = out_read;
@@ -37,7 +35,6 @@ let spawn ~slot argv =
     closed = false;
   }
 
-let slot t = t.slot_
 let pid t = t.pid_
 
 let send_line t line =

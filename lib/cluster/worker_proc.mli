@@ -21,14 +21,13 @@ type read_result =
   | Timeout         (** deadline elapsed with no complete line *)
   | Eof             (** worker closed its stdout (crash or exit) *)
 
-val spawn : slot:int -> string array -> t
-(** [spawn ~slot argv] starts [argv.(0)] with stdin/stdout piped to this
+val spawn : string array -> t
+(** [spawn argv] starts [argv.(0)] with stdin/stdout piped to this
     handle (stderr inherited).  Parent-side pipe ends are close-on-exec,
     so later-spawned siblings cannot keep a dead worker's pipes alive
     and crashes are detected as EOF, not as timeouts.
     @raise Invalid_argument on empty [argv]. *)
 
-val slot : t -> int
 val pid : t -> int
 
 val send_line : t -> string -> (unit, string) result

@@ -7,8 +7,9 @@ type point = {
   utilization : float;
 }
 
-let explore ?(tc = Config.default.tc) ?(max_per_kind = 8) graph =
-  if max_per_kind < 1 then invalid_arg "Allocator.explore: max_per_kind < 1";
+let max_per_kind = 8
+
+let explore ?(tc = Config.default.tc) graph =
   let counts = Mfb_bioassay.Seq_graph.kind_counts graph in
   let range i =
     if counts.(i) = 0 then [ 0 ]

@@ -15,15 +15,14 @@ type point = {
 
 val explore :
   ?tc:float ->
-  ?max_per_kind:int ->
   Mfb_bioassay.Seq_graph.t ->
   point list
 (** [explore g] evaluates every allocation from the minimal one up to
-    [max_per_kind] (default 8) components per kind used by [g] (kinds
-    absent from [g] stay at zero) and keeps the Pareto-optimal points:
-    no other allocation is both smaller and faster.  Sorted by component
-    count.  Scheduling only — placement and routing are left to the
-    caller for the chosen point. *)
+    8 components per kind used by [g] (kinds absent from [g] stay at
+    zero) and keeps the Pareto-optimal points: no other allocation is
+    both smaller and faster.  Sorted by component count.  Scheduling
+    only — placement and routing are left to the caller for the chosen
+    point. *)
 
 val knee : point list -> point option
 (** The frontier point with the best marginal trade-off: the smallest

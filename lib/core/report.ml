@@ -69,6 +69,7 @@ let bar width value max_value =
     String.make (max 0 (min width n)) '#'
   end
 
+(* A two-series text bar chart (ours vs BA) of [value] per benchmark. *)
 let figure ~title ~unit_label ~value pairs =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (title ^ "\n");

@@ -6,18 +6,12 @@ val table1 : (Result.t * Result.t) list -> string
     execution time, resource utilization, total channel length, CPU time,
     with per-row and average improvement percentages. *)
 
-val figure :
-  title:string ->
-  unit_label:string ->
-  value:(Result.t -> float) ->
-  (Result.t * Result.t) list ->
-  string
-(** [figure ~title ~unit_label ~value pairs] renders a two-series text
-    bar chart (ours vs BA) of [value] per benchmark — used for Fig. 8
-    (total channel cache time) and Fig. 9 (total channel wash time). *)
-
 val fig8 : (Result.t * Result.t) list -> string
+(** A two-series text bar chart (ours vs BA) of total channel cache
+    time per benchmark: the paper's Fig. 8. *)
+
 val fig9 : (Result.t * Result.t) list -> string
+(** The same chart of total channel wash time: the paper's Fig. 9. *)
 
 val timing_table : Result.t list -> string
 (** Per-stage wall-clock vs CPU time of each result (plus a total row).

@@ -13,7 +13,9 @@ let springs nets n =
     nets;
   w
 
-let place ?(iterations = 100) ~nets components =
+let max_iterations = 100
+
+let place ~nets components =
   let n = Array.length components in
   let width, height = Chip.size_for components in
   let chip =
@@ -53,7 +55,7 @@ let place ?(iterations = 100) ~nets components =
          if !moved > 1e-3 then relax (k - 1)
        end
      in
-     relax iterations);
+     relax max_iterations);
     (* Legalize: snap components to grid anchors, most-connected first,
        spiralling out from the desired location until a legal slot is
        found. *)

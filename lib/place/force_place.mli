@@ -20,10 +20,8 @@ type result = {
 }
 
 val place :
-  ?iterations:int ->
   nets:Energy.weighted_net list ->
   Mfb_component.Component.t array ->
   result
-(** [place ~nets components] runs up to [iterations] (default 100)
-    relaxation sweeps, then legalizes.  The result is always a legal
-    placement. *)
+(** [place ~nets components] runs up to 100 relaxation sweeps, then
+    legalizes.  The result is always a legal placement. *)

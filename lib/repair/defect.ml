@@ -108,6 +108,8 @@ let check (chip : Chip.t) p =
         else Ok ())
     (Ok ()) p
 
+(* The component whose footprint covers a cell, or [None] for a channel
+   cell. *)
 let owner (chip : Chip.t) (cx, cy) =
   let n = Array.length chip.components in
   let rec scan i =
@@ -118,6 +120,20 @@ let owner (chip : Chip.t) (cx, cy) =
       else scan (i + 1)
   in
   scan 0
+
+let normalize chip raw =
+  let cells, comps =
+    List.fold_left
+      (fun (cells, comps) t ->
+        match t with
+        | Cell (x, y) ->
+          (match owner chip (x, y) with
+           | Some c -> (cells, c :: comps)
+           | None -> ((x, y) :: cells, comps))
+        | Component c -> (cells, c :: comps))
+      ([], []) raw
+  in
+  (List.sort_uniq compare cells, List.sort_uniq compare comps)
 
 let cells (chip : Chip.t) =
   let acc = ref [] in

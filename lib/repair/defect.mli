@@ -46,7 +46,6 @@ val check : Mfb_place.Chip.t -> plan -> (unit, string) result
     [tick] defaults to [0] when absent. *)
 
 val to_json : plan -> Mfb_util.Json.t
-val of_json : Mfb_util.Json.t -> (plan, string) result
 
 val to_file : string -> plan -> unit
 val of_file : string -> (plan, string) result
@@ -60,11 +59,14 @@ val cells : Mfb_place.Chip.t -> (int * int) list
     enumerate cells in this order, so a "cell index" means the same
     cell everywhere. *)
 
-val owner : Mfb_place.Chip.t -> int * int -> int option
-(** [owner chip cell] is the component whose footprint covers [cell]
-    (the lowest such id, though footprints never overlap on a legal
-    chip), or [None] for a channel cell.  [Plan.repair] lifts a cell
-    defect with an owner to that component's fault. *)
+val normalize :
+  Mfb_place.Chip.t -> target list -> (int * int) list * int list
+(** [normalize chip targets] splits the targets into defective channel
+    cells and dead components, both sorted and deduplicated, so what
+    reads them does not depend on the input's order.  A cell under a
+    component's footprint is that component's fault (the lowest such
+    id, though footprints never overlap on a legal chip).  [Plan.repair]
+    and [Audit.check] read targets through it. *)
 
 (** {2 Seeded generators} *)
 

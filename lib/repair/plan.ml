@@ -38,24 +38,6 @@ type outcome = {
   routing : Routed.result;
 }
 
-(* Split raw targets into channel-cell defects and dead components,
-   lifting footprint cells to their owning component (a defect under a
-   component is a component fault).  Both lists sorted and deduplicated
-   so the rest of the repair is order-independent of the input. *)
-let normalize chip raw =
-  let cells, comps =
-    List.fold_left
-      (fun (cells, comps) t ->
-        match t with
-        | Defect.Cell (x, y) ->
-          (match Defect.owner chip (x, y) with
-           | Some c -> (cells, c :: comps)
-           | None -> ((x, y) :: cells, comps))
-        | Defect.Component c -> (cells, c :: comps))
-      ([], []) raw
-  in
-  (List.sort_uniq compare cells, List.sort_uniq compare comps)
-
 let normalized_targets (cells, comps) =
   List.map (fun (x, y) -> Defect.Cell (x, y)) cells
   @ List.map (fun c -> Defect.Component c) comps
@@ -177,7 +159,7 @@ let repair ~(config : Mfb_core.Config.t) (result : Mfb_core.Result.t)
   let tc = config.tc and we = config.we in
   let chip = result.chip in
   let sched0 = result.schedule and routing0 = result.routing in
-  let ((defect_cells, dead) as normalized) = normalize chip defects in
+  let ((defect_cells, dead) as normalized) = Defect.normalize chip defects in
   let is_defect xy = List.mem xy defect_cells in
   (* Rung 3 first: dead components force re-binding before any routing,
      because the spare's ports decide where the affected tasks go. *)
@@ -278,47 +260,6 @@ let repair ~(config : Mfb_core.Config.t) (result : Mfb_core.Result.t)
   if report.fallbacks > 0 then
     Telemetry.incr ~cat:"repair" ~by:report.fallbacks "fallbacks";
   { report; schedule; chip; routing }
-
-let verify ~(config : Mfb_core.Config.t) ~defects (o : outcome) =
-  let tc = config.tc and we = config.we in
-  let defect_cells, dead = normalize o.chip defects in
-  let violations = ref [] in
-  let flag fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  List.iter
-    (fun (v : Check.violation) -> flag "schedule:%s: %s" v.code v.message)
-    (Check.validate ~tc o.schedule);
-  (* Dead components must have no remaining work in the schedule (when
-     their rebind succeeded, i.e. no transport still names them). *)
-  Array.iteri
-    (fun op (t : Types.op_times) ->
-      if List.mem t.component dead then
-        flag "binding: op %d still bound to dead component %d" op t.component)
-    o.schedule.times;
-  (* Routing: no path over a defect, and the commit-order replay must be
-     conflict-free (overlap and wash separation) on a fresh grid. *)
-  let grid = Rgrid.create ~we o.chip in
-  List.iter
-    (fun (task : Routed.task) ->
-      let tr = task.transport in
-      if List.mem tr.Types.src dead || List.mem tr.Types.dst dead then
-        flag "routing: task %s still attached to a dead component"
-          (Format.asprintf "%a" Types.pp_transport tr);
-      List.iter
-        (fun cell ->
-          if List.mem cell defect_cells then
-            flag "routing: path of edge (%d,%d) crosses defect cell (%d,%d)"
-              (fst tr.Types.edge) (snd tr.Types.edge) (fst cell) (snd cell))
-        task.path;
-      List.iter
-        (fun (cell, iv) ->
-          if not (Rgrid.conflict_free grid cell iv tr.Types.fluid) then
-            flag
-              "routing: occupation conflict at (%d,%d) for edge (%d,%d)"
-              (fst cell) (snd cell) (fst tr.Types.edge) (snd tr.Types.edge))
-        (Routed.occupancy ~tc task);
-      Routed.commit grid ~tc task)
-    o.routing.tasks;
-  List.rev !violations
 
 let report_to_json (r : report) =
   Json.Obj

@@ -68,7 +68,7 @@ type outcome = {
   routing : Mfb_route.Routed.result;
       (** repaired routing; [tasks] are in {e commit order} (healthy
           tasks first, then repairs — or original order after the
-          fallback), which is the order {!verify} replays *)
+          fallback), which is the order {!Audit.check} replays *)
 }
 
 val repair :
@@ -79,21 +79,6 @@ val repair :
 (** Runs under a [repair] telemetry span and bumps the
     [repair/ripped_up], [repair/rerouted], [repair/rebound] and
     [repair/fallbacks] counters. *)
-
-val verify :
-  config:Mfb_core.Config.t ->
-  defects:Defect.target list ->
-  outcome ->
-  string list
-(** Legality audit of a repaired outcome; empty means clean.  Checks the
-    schedule ([Check.validate]), defect avoidance (no path crosses a
-    defective cell, no binding or transport touches a dead component)
-    and the routing's conflict discipline (replaying the commit order on
-    a fresh grid, every occupation must be [conflict_free] — the wash
-    separation included — before it is added).  A [survived] repair must
-    verify clean; a failed one generally will not, since unrepairable
-    transports are dropped from the routing while the schedule keeps
-    them. *)
 
 val report_to_json : report -> Mfb_util.Json.t
 (** Stable field order; the byte-compared payload of the serve

@@ -74,7 +74,7 @@ let route_one ?(weight_update = true) grid ~tc ~deadline
     (tr : Types.transport) kind =
   let srcs, dsts = Routed.endpoints grid kind tr in
   let whole_window (tr' : Types.transport) ~delay =
-    let iv = Routed.window tr' ~delay ~near_src:true in
+    let iv = Routed.hold tr' ~delay Routed.Park in
     fun i -> Rgrid.conflict_free_at grid i iv tr'.fluid
   in
   let usable_for (tr' : Types.transport) =

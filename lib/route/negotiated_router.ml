@@ -5,12 +5,9 @@ module Types = Mfb_schedule.Types
 let present_penalty = 4.
 let history_increment = 2.
 
-(* The conservative per-cell windows a task would occupy on any path
-   (ignoring the near-source refinement, which depends on the path). *)
-let task_window (tr : Types.transport) =
-  Interval.make tr.removal tr.arrive
+let max_iterations = 8
 
-let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
+let route ?(weight_update = true) ?(route_io = false)
     ~we ~tc chip (sched : Types.t) =
   if tc <= 0. then
     invalid_arg "Negotiated_router.route: tc must be positive";
@@ -33,7 +30,9 @@ let route ?(max_iterations = 8) ?(weight_update = true) ?(route_io = false)
     let paths = Array.make n [] in
     List.iteri
       (fun i (tr : Types.transport) ->
-        let window = task_window tr in
+        (* Every cell at the parking hold, the longest one: which cells
+           are port and parking cells depends on the path. *)
+        let window = Routed.hold tr ~delay:0. Routed.Park in
         let srcs = Rgrid.ports grid tr.src and dsts = Rgrid.ports grid tr.dst in
         let sharing xy =
           match Hashtbl.find_opt claimed xy with

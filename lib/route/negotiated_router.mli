@@ -12,7 +12,6 @@
     router. *)
 
 val route :
-  ?max_iterations:int ->
   ?weight_update:bool ->
   ?route_io:bool ->
   we:float ->
@@ -20,7 +19,7 @@ val route :
   Mfb_place.Chip.t ->
   Mfb_schedule.Types.t ->
   Routed.result
-(** [route ~we ~tc chip sched] negotiates for up to [max_iterations]
-    (default 8) rounds.  [weight_update] (default true) applies the
-    paper's wash-weight update when committing the final paths.
+(** [route ~we ~tc chip sched] negotiates for up to 8 rounds.
+    [weight_update] (default true) applies the paper's wash-weight
+    update when committing the final paths.
     @raise Invalid_argument if [tc <= 0] or [we < 0]. *)

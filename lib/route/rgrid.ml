@@ -38,6 +38,10 @@ type t = {
   ports : (int * int) list array; (* per component id, non-empty *)
 }
 
+(* The slack of every time comparison in the conflict model: a gap or a
+   residual delay of at most this much counts as none. *)
+let tolerance = 1e-9
+
 let idx g (x, y) = (y * g.grid_width) + x
 
 let in_bounds g (x, y) =
@@ -241,7 +245,7 @@ let conflict_free_ref g xy iv fluid =
        (fun o ->
          if Interval.overlaps o.interval iv then false
          else if Interval.hi o.interval <= Interval.lo iv then
-           Interval.lo iv +. 1e-9
+           Interval.lo iv +. tolerance
            >= Interval.hi o.interval +. wash_between o fluid
          else true)
        cell.occs
@@ -260,7 +264,7 @@ let required_delay_ref g xy iv fluid =
               let needed =
                 if Interval.overlaps o.interval shifted
                    || (Interval.hi o.interval <= Interval.lo shifted
-                      && Interval.lo shifted +. 1e-9
+                      && Interval.lo shifted +. tolerance
                          < Interval.hi o.interval +. wash_between o fluid)
                 then
                   Interval.hi o.interval +. wash_between o fluid
@@ -270,7 +274,7 @@ let required_delay_ref g xy iv fluid =
               Float.max acc needed)
             0. cell.occs
         in
-        if worst <= 1e-9 then delay else settle (delay +. worst) (fuel - 1)
+        if worst <= tolerance then delay else settle (delay +. worst) (fuel - 1)
       end
     in
     settle 0. (List.length cell.occs + 2)
@@ -281,7 +285,7 @@ let wash_debt_ref g xy ~at fluid =
   let latest_prior =
     List.fold_left
       (fun acc o ->
-        if Interval.hi o.interval <= at +. 1e-9 then
+        if Interval.hi o.interval <= at +. tolerance then
           match acc with
           | Some best
             when Interval.hi best.interval >= Interval.hi o.interval ->
@@ -312,7 +316,7 @@ let conflict_free_at g i iv fluid =
   else if cell.n = 0 then true
   else begin
     let r = settled_before cell iv.Interval.lo in
-    iv.lo +. 1e-9 >= wash_bound cell r fluid
+    iv.lo +. tolerance >= wash_bound cell r fluid
     &&
     let ok = ref true in
     let i = ref r in
@@ -342,7 +346,7 @@ let required_delay g xy iv fluid =
            shifted start. *)
         let bound =
           let m = wash_bound cell r fluid in
-          if slo +. 1e-9 < m then m else neg_infinity
+          if slo +. tolerance < m then m else neg_infinity
         in
         (* Suffix: occupations still active after the shifted start. *)
         let bound = ref bound in
@@ -357,7 +361,7 @@ let required_delay g xy iv fluid =
           if !bound = neg_infinity then 0.
           else Float.max 0. (!bound -. slo)
         in
-        if worst <= 1e-9 then delay else settle (delay +. worst) (fuel - 1)
+        if worst <= tolerance then delay else settle (delay +. worst) (fuel - 1)
       end
     in
     settle 0. (n + 2)
@@ -365,7 +369,7 @@ let required_delay g xy iv fluid =
 
 let wash_debt g xy ~at fluid =
   let cell = cell_exn g xy in
-  let r = settled_before cell (at +. 1e-9) in
+  let r = settled_before cell (at +. tolerance) in
   if r = 0 then 0.
   else begin
     let maxhi = cell.ends.(r - 1) in

@@ -49,6 +49,13 @@ val ports : t -> int -> (int * int) list
 val port : t -> int -> int * int
 (** First port of {!ports} — a canonical attachment point. *)
 
+val tolerance : float
+(** [1e-9] s, the one slack of the conflict model: a query start may
+    fall this far short of a residue's wash bound, and a settle step
+    stops once the delay it still needs is at most this.  The router's
+    hold rule ({!Routed.hold}) reads a channel cache of at most this
+    length as none. *)
+
 val conflict_free :
   t -> int * int -> Mfb_util.Interval.t -> Mfb_bioassay.Fluid.t -> bool
 (** [conflict_free grid cell iv fluid] is true when occupying [cell] over

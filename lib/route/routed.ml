@@ -23,31 +23,34 @@ type result = {
   unresolved : int;
 }
 
+type role = Port of { tc : float } | Park | Sweep
+
+let hold (tr : Types.transport) ~delay role =
+  let removal = tr.removal +. delay in
+  let depart = tr.depart +. delay in
+  let arrive = tr.arrive +. delay in
+  if depart -. removal <= Rgrid.tolerance then Interval.make removal arrive
+  else
+    match role with
+    | Port { tc } -> Interval.make removal (Float.min (removal +. tc) arrive)
+    | Park -> Interval.make removal arrive
+    | Sweep -> Interval.make depart arrive
+
+(* The evicted fluid is pushed through the source port into the adjacent
+   channel cell, parks there until [depart], then sweeps to the
+   destination.  Parking at the source side keeps the contended
+   destination ports free until the actual arrival window.  A path of at
+   most two cells has no cell beyond the parking one, so the fluid waits
+   on all of it. *)
 let occupancy ~tc task =
-  let tr = task.transport in
-  let removal = tr.removal +. task.delay in
-  let depart = tr.depart +. task.delay in
-  let arrive = tr.arrive +. task.delay in
-  let cache = depart -. removal in
-  let n = List.length task.path in
-  if cache <= 1e-9 || n <= 2 then
-    List.map (fun xy -> (xy, Interval.make removal arrive)) task.path
-  else begin
-    (* The evicted fluid is pushed through the source port into the
-       adjacent channel cell, parks there until [depart], then sweeps to
-       the destination.  Parking at the source side keeps the contended
-       destination ports free until the actual arrival window. *)
-    let indexed = List.mapi (fun i xy -> (i, xy)) task.path in
-    List.map
-      (fun (i, xy) ->
-        let iv =
-          if i = 0 then Interval.make removal (Float.min (removal +. tc) arrive)
-          else if i = 1 then Interval.make removal arrive
-          else Interval.make depart arrive
-        in
-        (xy, iv))
-      indexed
-  end
+  let short = List.length task.path <= 2 and port = Port { tc } in
+  List.mapi
+    (fun i xy ->
+      let role =
+        if short || i = 1 then Park else if i = 0 then port else Sweep
+      in
+      (xy, hold task.transport ~delay:task.delay role))
+    task.path
 
 let measure_wash grid ~tc task =
   List.fold_left
@@ -100,25 +103,17 @@ let endpoints grid kind (tr : Types.transport) =
   | Dispense -> (border_cells grid, Rgrid.ports grid tr.dst)
   | Waste -> (Rgrid.ports grid tr.src, border_cells grid)
 
-let window (tr : Types.transport) ~delay ~near_src =
-  let removal = tr.removal +. delay in
-  let depart = tr.depart +. delay in
-  let arrive = tr.arrive +. delay in
-  (* Only the port and parking cells — both within distance 1 of a source
-     port — hold the fluid during the cache; every cell further out sees
-     just the final sweep (matching {!occupancy}). *)
-  if near_src || depart -. removal <= 1e-9 then Interval.make removal arrive
-  else Interval.make depart arrive
-
 let rec near_any ports x y =
   match ports with
   | [] -> false
   | (px, py) :: rest -> abs (x - px) + abs (y - py) <= 1 || near_any rest x y
 
+(* A path's port and parking cells both lie within distance 1 of a source
+   port, so the search asks every such cell at the parking role, the
+   longer of the two holds, and every other cell at the sweep role. *)
 let usable grid tr ~delay ~src_ports =
   let w = Rgrid.width grid and fluid = tr.Types.fluid in
-  let near = window tr ~delay ~near_src:true
-  and far = window tr ~delay ~near_src:false in
+  let near = hold tr ~delay Park and far = hold tr ~delay Sweep in
   fun i ->
     Rgrid.conflict_free_at grid i
       (if near_any src_ports (i mod w) (i / w) then near else far)
@@ -128,7 +123,7 @@ let settle_delay ?(from = 0.) grid (tr : Types.transport) ~src_ports path =
   let fuel = (8 * List.length path) + 8 in
   let cell_delay delay ((x, y) as xy) =
     Rgrid.required_delay grid xy
-      (window tr ~delay ~near_src:(near_any src_ports x y))
+      (hold tr ~delay (if near_any src_ports x y then Park else Sweep))
       tr.fluid
   in
   let rec loop delay fuel =
@@ -139,7 +134,7 @@ let settle_delay ?(from = 0.) grid (tr : Types.transport) ~src_ports path =
           0. path
       in
       if worst = infinity then None
-      else if worst <= 1e-9 then Some delay
+      else if worst <= Rgrid.tolerance then Some delay
       else loop (delay +. worst) (fuel - 1)
     end
   in

@@ -29,14 +29,34 @@ type result = {
   unresolved : int;                 (** tasks left with conflicts *)
 }
 
+(** {2 The hold rule}
+
+    One rule says how long a transport holds each cell of its path
+    (paper §II-A: a fluid evicted from its producing component is cached
+    in the channel cell just outside it).  The commit side
+    ({!occupancy}), the path search ({!usable}) and the settle step
+    ({!settle_delay}) all ask {!hold}. *)
+
+type role =
+  | Port of { tc : float }
+      (** the source port, held from removal while the fluid is pushed
+          out ([tc] long) *)
+  | Park  (** the parking cell next to it, held from removal to arrival *)
+  | Sweep (** every cell further on, held only for the final sweep *)
+
+val hold :
+  Mfb_schedule.Types.transport -> delay:float -> role -> Mfb_util.Interval.t
+(** [hold transport ~delay role] is the interval a cell of that role
+    holds the transport's fluid once it is postponed by [delay].  A
+    transport that caches its fluid for at most {!Rgrid.tolerance} holds
+    every cell over its whole window, [removal] to [arrive]. *)
+
 val occupancy :
   tc:float -> task -> ((int * int) * Mfb_util.Interval.t) list
-(** Cell-level occupation of a routed task.  Without channel caching every
-    path cell is occupied over the whole (shifted) transport window; with
-    caching the fluid parks in the channel cell adjacent to the source
-    port (paper §II-A: fluids are cached close to components — the evicted
-    fluid is pushed just outside its producing component), so downstream
-    cells are only held for the final [tc]-long sweep. *)
+(** Cell-level occupation of a routed task, {!hold} at each cell's role:
+    the first path cell is the [Port], the second the [Park] cell and
+    every later one a [Sweep] cell; every cell of a path of at most two
+    cells is a [Park] cell. *)
 
 val commit : ?weight_update:bool -> Rgrid.t -> tc:float -> task -> unit
 (** Record the task's occupations; with [weight_update] (default true)
@@ -76,16 +96,6 @@ val endpoints :
     and outlets attach) stand in for the inlet of a [Dispense] and the
     outlet of a [Waste] run. *)
 
-val window :
-  Mfb_schedule.Types.transport ->
-  delay:float ->
-  near_src:bool ->
-  Mfb_util.Interval.t
-(** Occupation window a cell must be free for, matching {!occupancy}:
-    a cell near the source port may hold the cached fluid for the whole
-    (shifted) transport window; a cell further out only sees the final
-    arrival sweep. *)
-
 val usable :
   Rgrid.t ->
   Mfb_schedule.Types.transport ->
@@ -94,11 +104,12 @@ val usable :
   int ->
   bool
 (** [usable grid transport ~delay ~src_ports] is the cell-usability
-    predicate for path search, by cell index [y * width + x], consistent
-    with the occupation that {!commit} will record ("near source" means
-    Manhattan distance at most 1 from some source port).  Both
-    {!window}s are built once, when the predicate is; apply it partially
-    and test many cells with it.  A verdict allocates nothing. *)
+    predicate for path search, by cell index [y * width + x].  A cell
+    within Manhattan distance 1 of some source port may be the path's
+    port or parking cell, so it must be free for the [Park] hold (the
+    longer of the two); every other cell for the [Sweep] hold.  Both
+    holds are built once, when the predicate is; apply it partially and
+    test many cells with it.  A verdict allocates nothing. *)
 
 val settle_delay :
   ?from:float ->
@@ -108,8 +119,8 @@ val settle_delay :
   (int * int) list ->
   float option
 (** Smallest postponement of at least [from] (default 0) making the
-    whole path conflict-free on every cell under the {!window}
-    semantics, or [None] when no fixed point is found within the
-    iteration budget. *)
+    whole path conflict-free on every cell, each asked for the hold
+    {!usable} asks it for, or [None] when no fixed point is found within
+    the iteration budget. *)
 
 val finalize : Rgrid.t -> task list -> unresolved:int -> result

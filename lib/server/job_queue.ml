@@ -91,7 +91,6 @@ let pop_batch q ~now ~max =
   q.items <- left;
   (dispatched, dead)
 
-let queued q = q.items
 
 let position q id =
   let rec go i = function

@@ -52,8 +52,5 @@ val pop_batch : 'a t -> now:int -> max:int -> 'a item list * 'a item list
     passed at [now] (in dispatch order), then up to [max] jobs to run,
     in dispatch order.  Expired jobs do not count against [max]. *)
 
-val queued : 'a t -> 'a item list
-(** Current contents in dispatch order (not removed). *)
-
 val position : 'a t -> string -> int option
 (** 0-based dispatch position of a job id, if queued. *)

@@ -984,7 +984,8 @@ let handle_repair t ~id ~target ~defects =
             in
             let errors =
               if o.Mfb_repair.Plan.report.survived then
-                Mfb_repair.Plan.verify ~config:job.config ~defects o
+                Mfb_repair.Audit.check ~config:job.config ~defects
+                  o.schedule o.chip o.routing
               else []
             in
             (match errors with

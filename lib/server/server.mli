@@ -39,7 +39,9 @@
     The report bytes are a pure function of (job, defects) — cache
     temperature, [jobs] and transport can only change latency.  A
     surviving repair whose result fails the legality audit
-    ({!Mfb_repair.Plan.verify}) is rejected rather than returned.
+    ({!Mfb_repair.Audit.check}: timing, geometry, defect avoidance and
+    the commit-order conflict replay) is rejected rather than
+    returned.
 
     {2 Similarity & warm start}
 

@@ -8,7 +8,7 @@
     the flow, allocation vector and config knobs.  Two fingerprints are
     {e comparable} when flow and allocation agree (a cached placement
     over a different component set cannot seed a warm start); their
-    {!distance} is then
+    distance ({!diff}) is then
 
     - the symmetric difference of the neighborhood multisets — a
       single-op edit (duration tweak, kind change, added/removed op or
@@ -51,12 +51,6 @@ type diff = {
   removed : int;        (** candidate neighborhoods absent from the query *)
   knob_edits : int;     (** differing config knobs (each costs 2) *)
 }
-
-val distance : fp -> fp -> diff option
-(** [distance query candidate]; [None] when incomparable (different
-    flow or allocation).  [distance fp fp = Some {distance = 0; ...}]
-    and the metric is symmetric in the [distance] field (though
-    [changed_ops] names query-side ops). *)
 
 val nearest :
   threshold:int ->

@@ -14,8 +14,6 @@ type snapshot = {
   cells : ((int * int) * Mfb_bioassay.Fluid.t) list;
 }
 
-type violation = { time : float; message : string }
-
 type t = {
   tc : float;
   chip : Mfb_place.Chip.t;
@@ -127,59 +125,6 @@ let state_at sim time =
           if Interval.contains iv time then Some (xy, fluid) else None)
         sim.occupancy;
   }
-
-let check sim =
-  let violations = ref [] in
-  let flag time fmt =
-    Printf.ksprintf (fun message -> violations := { time; message } :: !violations)
-      fmt
-  in
-  let sample time =
-    (* One fluid per channel cell. *)
-    let snap = state_at sim time in
-    let by_cell = Hashtbl.create 32 in
-    List.iter
-      (fun (xy, fluid) ->
-        match Hashtbl.find_opt by_cell xy with
-        | Some (prior : Mfb_bioassay.Fluid.t) ->
-          if not (Mfb_bioassay.Fluid.equal prior fluid) then
-            flag time "cell (%d,%d) holds %s and %s" (fst xy) (snd xy)
-              prior.name fluid.Mfb_bioassay.Fluid.name
-        | None -> Hashtbl.replace by_cell xy fluid)
-      snap.cells;
-    (* Single executing op per component + qualification. *)
-    Array.iteri
-      (fun c activity ->
-        let running =
-          Array.to_list sim.schedule.times
-          |> List.filteri (fun _ _ -> true)
-          |> List.mapi (fun op t -> (op, t))
-          |> List.filter (fun (_, (t : Types.op_times)) ->
-                 t.component = c && t.start <= time && time < t.finish)
-        in
-        if List.length running > 1 then
-          flag time "component %d runs %d operations at once" c
-            (List.length running);
-        match activity with
-        | Executing op ->
-          let comp = sim.schedule.components.(c) in
-          let o = Mfb_bioassay.Seq_graph.op sim.schedule.graph op in
-          if not (Mfb_component.Component.qualified comp o) then
-            flag time "component %d executes unqualified o%d" c op
-        | Idle | Holding _ | Washing _ -> ())
-      (state_at sim time).components
-  in
-  let boundaries = events sim in
-  let rec walk = function
-    | a :: (b :: _ as rest) ->
-      sample a;
-      sample ((a +. b) /. 2.);
-      walk rest
-    | [ last ] -> sample last
-    | [] -> ()
-  in
-  walk boundaries;
-  List.rev !violations
 
 let kind_char = function
   | Mfb_bioassay.Operation.Mix -> 'M'

@@ -1,14 +1,10 @@
-(** Discrete-event replay of a synthesised physical design.
+(** Discrete-event replay of a synthesised physical design, for
+    rendering it in motion.
 
     The replay reconstructs the state of the chip — what every component
     is doing, which fluid sits in which channel cell — at any time point,
-    independently of the data structures the synthesis stages used to
-    build the design.  It serves two purposes:
-
-    - {e verification}: re-check the physical invariants (one fluid per
-      cell, one activity per component) at every event boundary, as an
-      end-to-end cross-check of scheduler and router;
-    - {e visualisation}: render ASCII frames of the chip in motion. *)
+    and renders it as ASCII frames.  Checking a design's legality is
+    [Mfb_repair.Audit]'s job. *)
 
 type activity =
   | Idle
@@ -22,8 +18,6 @@ type snapshot = {
   cells : ((int * int) * Mfb_bioassay.Fluid.t) list;
       (** channel cells currently holding fluid *)
 }
-
-type violation = { time : float; message : string }
 
 type t
 
@@ -39,14 +33,6 @@ val events : t -> float list
     boundaries, wash boundaries), sorted ascending. *)
 
 val state_at : t -> float -> snapshot
-
-val check : t -> violation list
-(** Replay every event boundary and the midpoint of every inter-event
-    interval, verifying:
-
-    - no channel cell holds two different fluids at once;
-    - no component has two simultaneous activities;
-    - every executing component is qualified for its operation. *)
 
 val frame : t -> float -> string
 (** ASCII rendering of {!state_at}: components drawn with their kind

@@ -26,9 +26,6 @@ val add : t -> float -> unit
 val count : t -> int
 val sum : t -> float
 
-val max_value : t -> float
-(** Exact largest observation; [0.] when empty. *)
-
 val snapshot_json : t -> Json.t
 (** Compact deterministic snapshot:
     [{count; sum; min; max; p50; p95; p99}], [min] and [max] exact

@@ -24,15 +24,12 @@ val bool : t -> bool
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
-val split : t -> t
-(** [split rng] derives an independent generator, advancing [rng]. *)
-
 val split_n : t -> int -> t array
-(** [split_n rng n] derives [n] independent generators by repeated
-    {!split}, advancing [rng] [n] times.  This is the dispatch side of
-    the split-then-reduce discipline used by the parallel synthesis
-    entry points: child generators are derived {e sequentially, before}
-    any task is handed to a {!Pool} worker, so the stream seen by task
-    [i] depends only on the master seed and on [i] — never on how many
-    domains execute the tasks.
+(** [split_n rng n] derives [n] independent generators, each seeded
+    with the next draw of [rng], advancing [rng] [n] times.  This is
+    the dispatch side of the split-then-reduce discipline used by the
+    parallel synthesis entry points: child generators are derived
+    {e sequentially, before} any task is handed to a {!Pool} worker, so
+    the stream seen by task [i] depends only on the master seed and on
+    [i] — never on how many domains execute the tasks.
     @raise Invalid_argument if [n < 0]. *)

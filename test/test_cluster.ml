@@ -21,6 +21,19 @@ let worker_bin =
     (Filename.dirname Sys.executable_name)
     "../bin/dcsa_synth.exe"
 
+(* The fleet's respawn count, as its ["cluster"] stats row reports it. *)
+let respawns cluster =
+  match
+    List.find_map
+      (fun (s : Server.series) ->
+        match (s.path, s.value) with
+        | [ "cluster"; "respawns" ], Server.Counter n -> Some n
+        | _ -> None)
+      (Cluster.series cluster)
+  with
+  | Some n -> n
+  | None -> Alcotest.fail "no cluster/respawns row"
+
 let resolve ?seed ?(flow = `Ours) bench =
   let overrides = { P.no_overrides with P.o_seed = seed } in
   match
@@ -184,7 +197,7 @@ let test_worker_slow_fault_answers_normally () =
 (* --- pipe plumbing --- *)
 
 let test_worker_proc_echo_and_eof () =
-  let w = Worker_proc.spawn ~slot:0 [| "cat" |] in
+  let w = Worker_proc.spawn [| "cat" |] in
   Fun.protect
     ~finally:(fun () -> Worker_proc.kill w)
     (fun () ->
@@ -203,7 +216,7 @@ let test_worker_proc_echo_and_eof () =
         (Worker_proc.recv_line ~timeout:5.0 w = Worker_proc.Eof))
 
 let test_worker_proc_timeout () =
-  let w = Worker_proc.spawn ~slot:0 [| "cat" |] in
+  let w = Worker_proc.spawn [| "cat" |] in
   Fun.protect
     ~finally:(fun () -> Worker_proc.kill w)
     (fun () ->
@@ -216,7 +229,7 @@ let test_worker_proc_timeout () =
         (Unix.gettimeofday () -. t0 < 2.0))
 
 let test_worker_proc_ping_real_worker () =
-  let w = Worker_proc.spawn ~slot:3 [| worker_bin; "worker"; "--index"; "3" |] in
+  let w = Worker_proc.spawn [| worker_bin; "worker"; "--index"; "3" |] in
   Fun.protect
     ~finally:(fun () -> Worker_proc.kill w)
     (fun () ->
@@ -227,7 +240,7 @@ let oversized_then_ok =
   [| "sh"; "-c"; "head -c 1100000 /dev/zero | tr '\\000' x; echo; echo ok" |]
 
 let test_worker_proc_oversized_reply () =
-  let w = Worker_proc.spawn ~slot:0 oversized_then_ok in
+  let w = Worker_proc.spawn oversized_then_ok in
   Fun.protect
     ~finally:(fun () -> Worker_proc.kill w)
     (fun () ->
@@ -246,7 +259,7 @@ let test_worker_oversized_line_like_serve () =
      request line gets the same error bytes from both *)
   let big = String.make 1_100_000 'a' in
   let reply argv =
-    let w = Worker_proc.spawn ~slot:0 argv in
+    let w = Worker_proc.spawn argv in
     Fun.protect
       ~finally:(fun () -> Worker_proc.kill w)
       (fun () ->
@@ -379,7 +392,7 @@ let test_cluster_clean_dispatch () =
       let s = Cluster.stats cluster in
       Alcotest.(check int) "all dispatched" 3 s.Mfb_cluster.Dispatcher.dispatched;
       Alcotest.(check int) "no degradation" 0 s.Mfb_cluster.Dispatcher.degraded;
-      Alcotest.(check int) "no respawns" 0 (Cluster.respawns cluster))
+      Alcotest.(check int) "no respawns" 0 (respawns cluster))
 
 let test_cluster_failing_job_keeps_workers () =
   (* a job whose synthesis raises is answered by a healthy worker: no
@@ -410,7 +423,7 @@ let test_cluster_failing_job_keeps_workers () =
       let s = Cluster.stats cluster in
       Alcotest.(check int) "no crashes" 0 s.Mfb_cluster.Dispatcher.crashes;
       Alcotest.(check int) "no degradation" 0 s.Mfb_cluster.Dispatcher.degraded;
-      Alcotest.(check int) "no respawns" 0 (Cluster.respawns cluster))
+      Alcotest.(check int) "no respawns" 0 (respawns cluster))
 
 let test_cluster_chaos_recovery () =
   (* slot 0 crashes on every first job of every life; slot 1 garbles its
@@ -432,7 +445,7 @@ let test_cluster_chaos_recovery () =
         (s.Mfb_cluster.Dispatcher.crashes > 0);
       Alcotest.(check bool) "retries seen" true
         (s.Mfb_cluster.Dispatcher.retries > 0);
-      Alcotest.(check bool) "respawns seen" true (Cluster.respawns cluster > 0))
+      Alcotest.(check bool) "respawns seen" true (respawns cluster > 0))
 
 let test_cluster_stall_hits_deadline () =
   let plan = [ { Fault.worker = 0; job = 0; kind = Fault.Stall } ] in
@@ -610,7 +623,7 @@ let qtest_cluster =
               let counters_moved =
                 s.Mfb_cluster.Dispatcher.crashes > 0
                 && s.Mfb_cluster.Dispatcher.retries > 0
-                && Cluster.respawns cluster > 0
+                && respawns cluster > 0
               in
               identical && counters_moved)))
 

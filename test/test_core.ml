@@ -560,13 +560,8 @@ let prop_whole_flow_invariants =
     random_instance_gen
     (fun (graph, allocation) ->
       let r = Flow.run ~config:fast_cfg graph allocation in
-      let sim =
-        Mfb_sim.Replay.create ~tc:fast_cfg.tc ~chip:r.chip
-          ~schedule:r.schedule ~routing:r.routing
-      in
-      Check.validate ~tc:fast_cfg.tc r.schedule = []
-      && Mfb_route.Drc.check r.chip r.routing = []
-      && Mfb_sim.Replay.check sim = []
+      (* The audit runs Check, DRC and the commit-order replay. *)
+      Mfb_repair.Audit.check ~config:fast_cfg r.schedule r.chip r.routing = []
       && 0. <= r.utilization
       && r.utilization <= 1.)
 
@@ -663,13 +658,9 @@ let test_large_assay_stress () =
     (Mfb_route.Drc.check ours.chip ours.routing = []);
   Alcotest.(check bool) "still beats the baseline" true
     (ours.execution_time <= ba.execution_time +. 1e-6);
-  let sim =
-    Mfb_sim.Replay.create ~tc:fast_cfg.tc ~chip:ours.chip
-      ~schedule:ours.schedule ~routing:ours.routing
-  in
-  Alcotest.(check (list string)) "replay clean at 100 ops" []
-    (List.map (fun (v : Mfb_sim.Replay.violation) -> v.message)
-       (Mfb_sim.Replay.check sim))
+  Alcotest.(check (list string)) "audit clean at 100 ops" []
+    (Mfb_repair.Audit.check ~config:fast_cfg ours.schedule ours.chip
+       ours.routing)
 
 let suites =
   [

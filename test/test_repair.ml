@@ -4,6 +4,8 @@
 
 module Defect = Mfb_repair.Defect
 module Plan = Mfb_repair.Plan
+module Audit = Mfb_repair.Audit
+module Warm = Mfb_repair.Warm
 module Flow = Mfb_core.Flow
 module Config = Mfb_core.Config
 module Suite = Mfb_core.Suite
@@ -33,13 +35,26 @@ let result_of ?(jobs = 1) name =
 let pcr = lazy (result_of "pcr")
 let ivd = lazy (result_of "ivd")
 
+let audit ~config ~defects (o : Plan.outcome) =
+  Audit.check ~config ~defects o.schedule o.chip o.routing
+
 let check_clean ~defects outcome =
-  match Plan.verify ~config:cfg ~defects outcome with
+  match audit ~config:cfg ~defects outcome with
   | [] -> ()
   | vs ->
     Alcotest.failf "repair verification: %s" (String.concat "; " vs)
 
 (* --- Defect plans ----------------------------------------------------- *)
+
+(* A JSON plan read back the way the CLI reads one, from a file. *)
+let of_json json =
+  let path = Filename.temp_file "defect_plan" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc (Json.to_string json));
+      Defect.of_file path)
 
 let test_plan_roundtrip () =
   let plan =
@@ -48,12 +63,12 @@ let test_plan_roundtrip () =
       { Defect.tick = 2; target = Defect.Component 1 };
     ]
   in
-  (match Defect.of_json (Defect.to_json plan) with
+  (match of_json (Defect.to_json plan) with
    | Ok p -> Alcotest.(check bool) "roundtrip" true (p = plan)
    | Error e -> Alcotest.fail e);
   (* tick defaults to 0; unknown kinds are structured errors. *)
   (match
-     Defect.of_json
+     of_json
        (Json.Obj
           [ ("defects",
              Json.List
@@ -65,7 +80,7 @@ let test_plan_roundtrip () =
    | Ok _ -> Alcotest.fail "wrong parse"
    | Error e -> Alcotest.fail e);
   match
-    Defect.of_json
+    of_json
       (Json.Obj
          [ ("defects", Json.List [ Json.Obj [ ("kind", Json.String "x") ] ])
          ])
@@ -211,9 +226,9 @@ let test_footprint_cell_lifts_to_component () =
   let o = Plan.repair ~config:cfg r ~defects:[ Defect.Cell cell ] in
   match o.report.targets with
   | [ Defect.Component c ] ->
-    (match Defect.owner r.chip cell with
-     | Some owner -> Alcotest.(check int) "lifted to owner" owner c
-     | None -> Alcotest.fail "blocked cell without owner")
+    (match Defect.normalize r.chip [ Defect.Cell cell ] with
+     | [], [ owner ] -> Alcotest.(check int) "lifted to owner" owner c
+     | _ -> Alcotest.fail "blocked cell without owner")
   | _ -> Alcotest.fail "footprint cell not lifted to a component fault"
 
 let test_last_task_path_defect () =
@@ -290,7 +305,7 @@ let test_table1_sweep_legal () =
         (fun n defects ->
           incr repairs;
           let o = Plan.repair ~config r ~defects in
-          if o.report.survived && Plan.verify ~config ~defects o <> [] then
+          if o.report.survived && audit ~config ~defects o <> [] then
             illegal :=
               Printf.sprintf "%s: %s" r.benchmark
                 (String.concat " "
@@ -390,7 +405,7 @@ let test_repair_counters_jobs_invariant () =
 (* For any synthesized benchmark and any channel-cell defect, a repair
    that claims success must produce a schedule passing [Check.validate]
    and a routing that replays conflict-free (wash separation included)
-   while avoiding the defect — [Plan.verify]'s full obligation. *)
+   while avoiding the defect — the audit's full obligation. *)
 let repair_oracle =
   let gen =
     QCheck2.Gen.pair
@@ -403,11 +418,116 @@ let repair_oracle =
       let defect = List.nth cells (salt mod List.length cells) in
       let defects = [ Defect.Cell defect ] in
       let o = Plan.repair ~config:cfg r ~defects in
-      if o.report.survived then Plan.verify ~config:cfg ~defects o = []
+      if o.report.survived then audit ~config:cfg ~defects o = []
       else o.report.failed > 0)
+
+(* --- The audit ---------------------------------------------------------- *)
+
+let audit_result ~config (r : Mfb_core.Result.t) =
+  Audit.check ~config r.schedule r.chip r.routing
+
+let has_prefix prefix v =
+  String.length v >= String.length prefix
+  && String.sub v 0 (String.length prefix) = prefix
+
+(* Table I in both flows, with and without I/O routing, under the
+   paper's parameters: the audit flags exactly the three designs where
+   the I/O router commits a dispense or waste run with its conflicts
+   (its best effort, counted in [unresolved]). *)
+let test_audit_table1_flags () =
+  let config = Config.default in
+  let flagged =
+    List.concat_map
+      (fun (inst : Suite.instance) ->
+        List.concat_map
+          (fun (variant, route_io) ->
+            let r =
+              Flow.run ~config ~variant ~route_io inst.graph inst.allocation
+            in
+            if audit_result ~config r = [] then []
+            else
+              [ Printf.sprintf "%s/%s%s" r.benchmark r.flow
+                  (if route_io then "+io" else "") ])
+          [ (`Ours, false); (`Ours, true); (`Ba, false); (`Ba, true) ])
+      (Suite.all ())
+  in
+  Alcotest.(check (list string)) "flagged designs"
+    [ "Synthetic3/ours+io"; "Synthetic3/ba+io"; "Synthetic4/ba+io" ]
+    flagged
+
+(* Doubling a task with a different fluid puts two fluids in its cells
+   at once: the replay must notice. *)
+let test_audit_detects_corruption () =
+  let config = Config.default in
+  let inst = instance "pcr" in
+  let r = Flow.run ~config inst.graph inst.allocation in
+  Alcotest.(check (list string)) "clean as synthesised" []
+    (audit_result ~config r);
+  match r.routing.tasks with
+  | [] -> Alcotest.fail "expected tasks"
+  | (task : Routed.task) :: _ ->
+    let intruder = Mfb_bioassay.Fluid.make ~name:"intruder" ~diffusion:1e-6 in
+    let clash =
+      { task with transport = { task.transport with fluid = intruder } }
+    in
+    let corrupted =
+      { r with routing = { r.routing with tasks = clash :: r.routing.tasks } }
+    in
+    Alcotest.(check bool) "occupation conflict flagged" true
+      (List.exists
+         (has_prefix "routing: occupation conflict")
+         (audit_result ~config corrupted))
+
+(* A defect the design still uses: a cell on a routed path, and the
+   source component of that path. *)
+let test_audit_flags_defects () =
+  let r = Lazy.force pcr in
+  let task =
+    List.find (fun (t : Routed.task) -> t.kind = Routed.Transport)
+      r.routing.tasks
+  in
+  let cell = List.nth task.path (List.length task.path / 2) in
+  let flags defects prefix =
+    List.exists (has_prefix prefix)
+      (Audit.check ~config:cfg ~defects r.schedule r.chip r.routing)
+  in
+  Alcotest.(check bool) "clean without defects" true
+    (audit_result ~config:cfg r = []);
+  Alcotest.(check bool) "path over a defect cell" true
+    (flags [ Defect.Cell cell ] "routing: path of edge");
+  Alcotest.(check bool) "operation on a dead component" true
+    (flags [ Defect.Component task.transport.src ] "binding:")
+
+(* A distance-0 warm start replays the cached routing task for task; the
+   result audits clean.  The quality gate is opened wide (Table I's
+   routed makespans reach 1.55x the pre-routing one) so that every
+   design yields a warm result to audit. *)
+let test_audit_warm_distance_zero () =
+  let config = Config.default in
+  List.iter
+    (fun (inst : Suite.instance) ->
+      let cached = Flow.run ~config inst.graph inst.allocation in
+      match
+        Warm.synthesize ~config ~cached ~delta:1.0 inst.graph inst.allocation
+      with
+      | Error e ->
+        Alcotest.failf "%s: warm start fell back: %s" cached.benchmark e
+      | Ok (r, _) ->
+        Alcotest.(check (list string)) cached.benchmark []
+          (audit_result ~config r))
+    (Suite.all ())
 
 let suites =
   [
+    ( "repair.audit",
+      [
+        Alcotest.test_case "Table I flags" `Quick test_audit_table1_flags;
+        Alcotest.test_case "detects corruption" `Quick
+          test_audit_detects_corruption;
+        Alcotest.test_case "flags defects" `Quick test_audit_flags_defects;
+        Alcotest.test_case "distance-0 warm start audits clean" `Quick
+          test_audit_warm_distance_zero;
+      ] );
     ( "repair.defect",
       [
         Alcotest.test_case "plan JSON roundtrip" `Quick test_plan_roundtrip;

@@ -490,21 +490,10 @@ let test_settle_delay_resolves () =
 
 (* --- Router end-to-end --- *)
 
-(* Replay a routing result on a fresh grid and verify every commit was
-   conflict-free under the occupancy semantics. *)
-let replay_conflict_free chip (result : Routed.result) =
-  let grid = Rgrid.create ~we chip in
-  List.for_all
-    (fun (task : Routed.task) ->
-      let ok =
-        List.for_all
-          (fun (xy, iv) ->
-            Rgrid.conflict_free grid xy iv task.transport.fluid)
-          (Routed.occupancy ~tc task)
-      in
-      Routed.commit grid ~tc task;
-      ok)
-    result.tasks
+(* The audit of a routing result with the schedule it routed:
+   [Config.default] has this file's [tc] and [we]. *)
+let audit sched chip result =
+  Mfb_repair.Audit.check ~config:Mfb_core.Config.default sched chip result
 
 let test_router_routes_all () =
   List.iter
@@ -518,8 +507,8 @@ let test_router_routes_all () =
         (List.length sched.Mfb_schedule.Types.transports)
         (List.length transports);
       Alcotest.(check int) "no unresolved" 0 result.unresolved;
-      Alcotest.(check bool) "replay conflict-free" true
-        (replay_conflict_free chip result))
+      Alcotest.(check (list string)) "audit clean" []
+        (audit sched chip result))
     [ 0; 1; 2; 3 ]
 
 let test_router_paths_connect_ports () =
@@ -625,8 +614,8 @@ let test_io_routing_adds_tasks_and_stays_clean () =
       (* Replay cleanliness is guaranteed whenever no best-effort commit
          was needed. *)
       if result.unresolved = 0 then
-        Alcotest.(check bool) "replay conflict-free" true
-          (replay_conflict_free chip result))
+        Alcotest.(check (list string)) "audit clean" []
+          (audit sched chip result))
     [ 0; 1; 2; 3 ]
 
 let test_io_dispense_arrival () =
@@ -713,8 +702,8 @@ let test_negotiated_routes_all () =
         (List.length
            (List.filter (fun (t : Routed.task) -> t.kind = Routed.Transport)
               result.tasks));
-      Alcotest.(check bool) "replay conflict-free" true
-        (replay_conflict_free chip result);
+      Alcotest.(check (list string)) "audit clean" []
+        (audit sched chip result);
       Alcotest.(check bool) "drc clean" true
         (Mfb_route.Drc.check chip result = []))
     [ 0; 2; 4 ]

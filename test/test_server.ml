@@ -184,9 +184,9 @@ let test_queue_dispatch_order () =
   submit_ok q ~now:0 ~id:"b" ~priority:5 ();
   submit_ok q ~now:0 ~id:"c" ~priority:0 ();
   submit_ok q ~now:0 ~id:"d" ~priority:5 ();
-  Alcotest.(check (list string))
-    "priority desc, FIFO within" [ "b"; "d"; "a"; "c" ]
-    (ids (Job_queue.queued q));
+  Alcotest.(check (list (option int)))
+    "priority desc, FIFO within" [ Some 0; Some 1; Some 2; Some 3 ]
+    (List.map (Job_queue.position q) [ "b"; "d"; "a"; "c" ]);
   Alcotest.(check bool) "position of a" true (Job_queue.position q "a" = Some 2);
   Alcotest.(check bool) "absent id" true (Job_queue.position q "z" = None);
   let dispatched, expired = Job_queue.pop_batch q ~now:1 ~max:3 in
@@ -205,9 +205,10 @@ let test_queue_admission () =
    | Job_queue.Displaced shed ->
      Alcotest.(check string) "weakest shed" "b" shed.Job_queue.id
    | _ -> Alcotest.fail "higher-priority submit must displace");
-  Alcotest.(check (list string))
-    "queue after displacement" [ "d"; "a" ]
-    (ids (Job_queue.queued q));
+  Alcotest.(check (list (option int)))
+    "queue after displacement" [ Some 0; Some 1; None ]
+    (List.map (Job_queue.position q) [ "d"; "a"; "b" ]);
+  Alcotest.(check int) "two queued" 2 (Job_queue.length q);
   Alcotest.check_raises "depth < 1"
     (Invalid_argument "Job_queue.create: depth < 1") (fun () ->
       ignore (Job_queue.create ~depth:0 ()))

@@ -10,16 +10,6 @@ let sim_of index =
   let r = Mfb_core.Flow.run g alloc in
   (r, Replay.create ~tc ~chip:r.chip ~schedule:r.schedule ~routing:r.routing)
 
-let test_replay_clean_on_suite () =
-  List.iter
-    (fun index ->
-      let r, sim = sim_of index in
-      match Replay.check sim with
-      | [] -> ()
-      | v :: _ ->
-        Alcotest.failf "%s: t=%.2f %s" r.benchmark v.time v.message)
-    [ 0; 1; 2; 3; 4; 5; 6 ]
-
 let test_events_sorted_and_cover_makespan () =
   let r, sim = sim_of 2 in
   let events = Replay.events sim in
@@ -101,32 +91,10 @@ let test_replay_deterministic_across_jobs () =
   Alcotest.(check (list (float 0.))) "event times identical" events1 events2;
   Alcotest.(check (list string)) "frames identical" frames1 frames2
 
-let test_replay_detects_corruption () =
-  (* Inject an overlapping occupation by doubling a task with a different
-     fluid: the replay must notice. *)
-  let g, alloc = List.hd (Testkit.suite_instances ()) in
-  let r = Mfb_core.Flow.run g alloc in
-  match r.routing.tasks with
-  | [] -> Alcotest.fail "expected tasks"
-  | (task : Mfb_route.Routed.task) :: _ ->
-    let clash_fluid = Mfb_bioassay.Fluid.make ~name:"intruder" ~diffusion:1e-6 in
-    let clash =
-      { task with
-        transport = { task.transport with fluid = clash_fluid } }
-    in
-    let corrupted =
-      { r.routing with tasks = clash :: r.routing.tasks }
-    in
-    let sim =
-      Replay.create ~tc ~chip:r.chip ~schedule:r.schedule ~routing:corrupted
-    in
-    Alcotest.(check bool) "violations detected" true (Replay.check sim <> [])
-
 let suites =
   [
     ( "sim.replay",
       [
-        Alcotest.test_case "clean on suite" `Quick test_replay_clean_on_suite;
         Alcotest.test_case "events sorted" `Quick
           test_events_sorted_and_cover_makespan;
         Alcotest.test_case "state transitions" `Quick test_state_transitions;
@@ -137,7 +105,5 @@ let suites =
         Alcotest.test_case "frame rendering" `Quick test_frame_rendering;
         Alcotest.test_case "deterministic across jobs" `Quick
           test_replay_deterministic_across_jobs;
-        Alcotest.test_case "detects corruption" `Quick
-          test_replay_detects_corruption;
       ] );
   ]

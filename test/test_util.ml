@@ -185,7 +185,7 @@ let test_rng_invalid () =
 
 let test_rng_split_diverges () =
   let a = Rng.create 11 in
-  let b = Rng.split a in
+  let b = (Rng.split_n a 1).(0) in
   let xs = List.init 10 (fun _ -> Rng.int a 1000000) in
   let ys = List.init 10 (fun _ -> Rng.int b 1000000) in
   Alcotest.(check bool) "independent streams" true (xs <> ys)
@@ -709,7 +709,7 @@ let test_histogram_basics () =
   Alcotest.(check int) "count" 5 (Histogram.count h);
   check_float "sum" 4.0 (Histogram.sum h);
   check_float "min" (-3.0) (snapshot h "min");
-  check_float "max" 4.0 (Histogram.max_value h);
+  check_float "max" 4.0 (snapshot h "max");
   let empty = Histogram.create () in
   Alcotest.(check int) "empty count" 0 (Histogram.count empty);
   check_float "empty quantile" 0.0 (snapshot empty "p50");
